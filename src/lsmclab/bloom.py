@@ -113,10 +113,11 @@ class BloomFilter:
         packed = np.packbits(bitarr, bitorder="little").tobytes()
         return cls(num_bits, num_hashes, packed)
 
-    def might_contain(self, key: bytes) -> bool:
+    def might_contain(self, key: bytes, hashes: tuple[int, int] | None = None) -> bool:
+        """``hashes`` is ``_hash_pair(key)`` when the caller already has it."""
         if self.num_bits == 0:
             return True
-        h1, h2 = _hash_pair(key)
+        h1, h2 = _hash_pair(key) if hashes is None else hashes
         bits = self._bits
         m = self.num_bits
         for i in range(self.num_hashes):

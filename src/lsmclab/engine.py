@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import compaction
-from .bloom import BloomFilter
+from .bloom import BloomFilter, _hash_pair
 from .cache import BlockCache
 from .compaction import CompactionStrategy, get_strategy
 from .config import TreeConfig
@@ -28,6 +28,7 @@ from .sstable import (
     Entry,
     SortedFileMeta,
     SstReader,
+    decode_entry,
     parse_index_block,
     scan_page_for_key,
     write_file,
@@ -71,6 +72,8 @@ class LsmEngine:
         self.metrics = MetricsCollector(
             entry_bytes=self.cfg.entry_bytes, latency_mode=latency_mode
         )
+        self._wall_clock = self.metrics.latency_mode == "wall"
+        self._entries_per_buffer = self.cfg.entries_per_buffer
         # buffer: key -> (seqnum, kind, value); newest version wins on insert
         self.buffer: dict[bytes, tuple[int, int, bytes]] = {}
         self._buffer_oldest_ts_tick: int | None = None
@@ -180,8 +183,8 @@ class LsmEngine:
         elif self._buffer_oldest_ts_tick is None:
             self._buffer_oldest_ts_tick = self.tick
         pages_before = self.metrics.io_pages
-        wall = time.perf_counter()
-        if len(self.buffer) >= self.cfg.entries_per_buffer:
+        wall = time.perf_counter() if self._wall_clock else 0.0
+        if len(self.buffer) >= self._entries_per_buffer:
             self.flush_buffer()
         self._record_latency("write", pages_before, wall)
         return seqnum
@@ -282,14 +285,16 @@ class LsmEngine:
             return per_page
         return meta.entry_count - (meta.data_pages - 1) * per_page
 
-    def _file_probe(self, meta: SortedFileMeta, key: bytes, result: LookupResult) -> Entry | None:
+    def _file_probe(
+        self, meta: SortedFileMeta, key: bytes, hashes: tuple[int, int], result: LookupResult
+    ) -> Entry | None:
         if key < meta.min_key or key > meta.max_key:
             return None
         filt, filter_pages = self._filter_for(meta)
         result.filter_probes += 1
         if filter_pages:
             result.filter_blocks_read += 1
-        if not filt.might_contain(key):
+        if not filt.might_contain(key, hashes):
             return None
         fences, index_pages = self._fences_for(meta)
         if index_pages:
@@ -310,7 +315,7 @@ class LsmEngine:
         if meta is None:
             raise InvariantViolation(f"file_get on dead file {file_id}")
         before = self.metrics.io_pages
-        entry = self._file_probe(meta, key, LookupResult(None))
+        entry = self._file_probe(meta, key, _hash_pair(key), LookupResult(None))
         return entry, self.metrics.io_pages - before
 
     def point_lookup(self, key: bytes) -> LookupResult:
@@ -318,7 +323,7 @@ class LsmEngine:
             raise InvalidArgument("key must be non-empty")
         self._advance_tick()
         pages_before = self.metrics.io_pages
-        wall = time.perf_counter()
+        wall = time.perf_counter() if self._wall_clock else 0.0
         result = LookupResult(None)
 
         buffered = self.buffer.get(key)
@@ -329,19 +334,16 @@ class LsmEngine:
             self._finish_lookup(result, pages_before, wall)
             return result
 
-        man = self.manifest
-        for level in man.snapshot():
-            for run in level:
-                metas = [man.files[fid] for fid in run]
-                idx = bisect_right([m.min_key for m in metas], key) - 1
-                if idx < 0:
-                    continue
-                entry = self._file_probe(metas[idx], key, result)
-                if entry is not None:
-                    if entry[2] == PUT:
-                        result.value = entry[3]
-                    self._finish_lookup(result, pages_before, wall)
-                    return result
+        hashes = _hash_pair(key)
+        for min_keys, metas in self.manifest.lookup_runs():
+            idx = bisect_right(min_keys, key) - 1
+            if idx < 0:
+                continue
+            entry = self._file_probe(metas[idx], key, hashes, result)
+            if entry is not None:
+                if entry[2] == PUT:
+                    result.value = entry[3]
+                break
         self._finish_lookup(result, pages_before, wall)
         return result
 
@@ -354,22 +356,19 @@ class LsmEngine:
         return self.point_lookup(key).value
 
     def _record_latency(self, hist: str, pages_before: int, wall_start: float) -> None:
-        if self.metrics.latency_mode == "wall":
+        if self._wall_clock:
             self.metrics.add_latency(hist, (time.perf_counter() - wall_start) * 1e6)
         else:
             self.metrics.add_latency(hist, self.metrics.io_pages - pages_before)
 
     # -- range scans --------------------------------------------------------
 
-    def _run_iter(self, run: list[int], low: bytes, high: bytes):
+    def _run_iter(
+        self, min_keys: list[bytes], metas: list[SortedFileMeta], low: bytes, high: bytes
+    ):
         """Entries of one sorted run within [low, high), charging page I/O."""
-        man = self.manifest
-        per_page = self.cfg.entries_per_page
         slot = self.cfg.entry_bytes
-        from .sstable import decode_entry
-
-        metas = [man.files[fid] for fid in run]
-        start_idx = bisect_right([m.min_key for m in metas], low) - 1
+        start_idx = bisect_right(min_keys, low) - 1
         for meta in metas[max(start_idx, 0) :]:
             if meta.min_key >= high:
                 return
@@ -398,7 +397,7 @@ class LsmEngine:
             raise InvalidArgument("range scan needs low <= high")
         self._advance_tick()
         pages_before = self.metrics.io_pages
-        wall = time.perf_counter()
+        wall = time.perf_counter() if self._wall_clock else 0.0
 
         buffered = (
             (key, seq, kind, value)
@@ -406,9 +405,8 @@ class LsmEngine:
             if low <= key < high
         )
         iters = [buffered]
-        for level in self.manifest.snapshot():
-            for run in level:
-                iters.append(self._run_iter(run, low, high))
+        for min_keys, metas in self.manifest.lookup_runs():
+            iters.append(self._run_iter(min_keys, metas, low, high))
         merged = heapq.merge(*iters, key=lambda e: (e[0], -e[1]))
 
         out: list[tuple[bytes, bytes]] = []

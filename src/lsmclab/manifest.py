@@ -86,6 +86,7 @@ class Manifest:
         self.next_file_id = 1
         self.next_seqnum = 1
         self.logical_tick = 0
+        self._runs_view: list[tuple[list[bytes], list[SortedFileMeta]]] | None = None
         self._log_path = os.path.join(directory, MANIFEST_NAME)
         self._log = None
 
@@ -146,6 +147,7 @@ class Manifest:
         self._apply(edit)
 
     def _apply(self, edit: VersionEdit) -> None:
+        self._runs_view = None
         removed = set(edit.removes)
         for fid in removed:
             if fid not in self.files:
@@ -220,8 +222,29 @@ class Manifest:
         return sum(1 for level in self.levels if level)
 
     def snapshot(self) -> list[list[list[int]]]:
-        """Cheap structural copy for concurrent reads."""
+        """Copy of the level/run/file-id structure.
+
+        Callers that walk every file (the space-amp census, the tests, the
+        benchmark tracer) use it; later edits leave the copy untouched.
+        """
         return [[list(run) for run in level] for level in self.levels]
+
+    def lookup_runs(self) -> list[tuple[list[bytes], list[SortedFileMeta]]]:
+        """Every run in probe order (shallow level first, newest run first)
+        as a ``(min_keys, metas)`` pair, ready for ``bisect``.
+
+        Built on the first read after an edit. An edit drops the view rather
+        than changing it, so a caller may keep iterating an old view.
+        """
+        view = self._runs_view
+        if view is None:
+            view = []
+            for level in self.levels:
+                for run in level:
+                    metas = [self.files[fid] for fid in run]
+                    view.append(([m.min_key for m in metas], metas))
+            self._runs_view = view
+        return view
 
     def check(self) -> None:
         """Verify run ordering and key-range disjointness (test hook)."""

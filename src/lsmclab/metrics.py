@@ -13,6 +13,13 @@ from dataclasses import dataclass, field
 HIST_NAMES = ("compaction", "write", "point", "range")
 
 
+def _nearest_rank(ordered: list[float], pct: float) -> float:
+    """Nearest-rank percentile of an ascending list; 0.0 when it is empty."""
+    if not ordered:
+        return 0.0
+    return ordered[max(1, math.ceil(pct / 100.0 * len(ordered))) - 1]
+
+
 class Histogram:
     """Stores raw samples; percentiles use the nearest-rank method."""
 
@@ -25,30 +32,18 @@ class Histogram:
         self.values.append(value)
 
     def percentile(self, pct: float) -> float:
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return _nearest_rank(sorted(self.values), pct)
 
     def mean(self) -> float:
         return sum(self.values) / len(self.values) if self.values else 0.0
 
     def summary(self) -> dict[str, float]:
         ordered = sorted(self.values)
-        if not ordered:
-            return {"mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0, "p100": 0.0}
-
-        def at(pct: float) -> float:
-            return ordered[max(1, math.ceil(pct / 100.0 * len(ordered))) - 1]
-
-        return {
-            "mean": sum(ordered) / len(ordered),
-            "p50": at(50),
-            "p90": at(90),
-            "p99": at(99),
-            "p100": ordered[-1],
-        }
+        # the mean sums in sorted order, which fixes report.json's last digits
+        summary = {"mean": sum(ordered) / len(ordered) if ordered else 0.0}
+        for pct in (50, 90, 99, 100):
+            summary[f"p{pct}"] = _nearest_rank(ordered, pct)
+        return summary
 
 
 @dataclass

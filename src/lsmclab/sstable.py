@@ -342,7 +342,8 @@ def scan_page_for_key(page: bytes, key: bytes, entry_bytes: int, count: int) -> 
 
 
 def verify_file(path: str) -> bool:
-    """Whole-file CRC and magic check; used by tests and the manifest replay."""
+    """Whole-file CRC and magic check. Only the tests call it; neither
+    manifest replay nor reads verify files."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()

@@ -1,6 +1,6 @@
 import pytest
 
-from lsmclab.bloom import BloomFilter, false_positive_rate
+from lsmclab.bloom import BloomFilter, _hash_pair, false_positive_rate
 
 from conftest import key
 
@@ -9,6 +9,11 @@ def test_no_false_negatives():
     keys = [key(i) for i in range(0, 2000, 2)]
     filt = BloomFilter.from_keys(keys, 10.0)
     assert all(filt.might_contain(k) for k in keys)
+    # a hash pair the caller computed once gives the same answers
+    probes = [key(i) for i in range(2000)]
+    assert [filt.might_contain(k, _hash_pair(k)) for k in probes] == [
+        filt.might_contain(k) for k in probes
+    ]
 
 
 def test_measured_fpr_tracks_model():

@@ -111,3 +111,54 @@ def test_snapshot_is_decoupled(man):
     man.apply(VersionEdit(removes=[1]))
     assert snap == [[[1]]]
     assert man.runs_in_level(1) == []
+
+
+def _runs_in_probe_order(m):
+    """(min keys, file ids) per run, derived from snapshot()."""
+    return [
+        ([m.files[fid].min_key for fid in run], list(run))
+        for level in m.snapshot()
+        for run in level
+    ]
+
+
+def _ids(view):
+    return [(list(min_keys), [meta.file_id for meta in metas]) for min_keys, metas in view]
+
+
+def _view(m):
+    view = m.lookup_runs()
+    for _min_keys, metas in view:
+        assert all(m.files[meta.file_id] is meta for meta in metas)
+    return _ids(view)
+
+
+def test_lookup_runs_track_every_edit(tmp_path):
+    man = Manifest(str(tmp_path))
+    man.open()
+    edits = [
+        VersionEdit(adds=[(1, ADD_NEW_RUN, [meta(1, 1, 0, 9), meta(2, 1, 10, 19)])]),
+        VersionEdit(adds=[(1, ADD_NEW_RUN, [meta(3, 1, 5, 14)])]),
+        VersionEdit(adds=[(2, ADD_SPLICE, [meta(4, 2, 20, 29), meta(5, 2, 0, 9)])]),
+        VersionEdit(adds=[(2, ADD_SPLICE, [meta(6, 2, 10, 19)])]),
+        VersionEdit(removes=[1, 3], adds=[(1, ADD_NEW_RUN, [meta(7, 1, 30, 39)])]),
+        VersionEdit(removes=[2, 7], adds=[(3, ADD_NEW_RUN, [meta(8, 3, 0, 50)])]),
+    ]
+    for edit in edits:
+        old = man.lookup_runs()
+        before = _ids(old)
+        man.apply(edit)
+        assert _view(man) == _runs_in_probe_order(man)
+        # an edit replaces the view; one taken earlier still reads as it did
+        assert _ids(old) == before
+    expected = [
+        ([key(0), key(10), key(20)], [5, 6, 4]),
+        ([key(0)], [8]),
+    ]
+    assert _view(man) == expected
+    man.close()
+
+    clone = Manifest(str(tmp_path))
+    clone.open()
+    assert _view(clone) == _runs_in_probe_order(clone) == expected
+    clone.close()
