@@ -89,14 +89,14 @@ class BloomFilter:
 
     @classmethod
     def from_key_words(
-        cls, words: np.ndarray, key_len: int, bits_per_key: float
+        cls, words: np.ndarray, lengths: np.ndarray, bits_per_key: float
     ) -> "BloomFilter":
-        """Build from pre-packed (n, 2) uint64 key words of uniform length."""
+        """Build from pre-packed (n, 2) little-endian uint64 words of each
+        key's zero-padded first 16 bytes, and the keys' lengths."""
         n = len(words)
         if bits_per_key <= 0 or n == 0:
             return cls(0, 0, b"")
-        lengths = np.full(n, key_len, dtype=np.uint64)
-        return cls._build(words, lengths, n, bits_per_key)
+        return cls._build(words, lengths.astype(np.uint64), n, bits_per_key)
 
     @classmethod
     def _build(

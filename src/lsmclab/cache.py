@@ -18,6 +18,8 @@ class BlockCache:
     def __init__(self, capacity_bytes: int) -> None:
         self.capacity_bytes = capacity_bytes
         self._blocks: OrderedDict[CacheKey, bytes] = OrderedDict()
+        # file_id -> its cached keys, so dropping a file skips other files' blocks
+        self._file_keys: dict[int, set[CacheKey]] = {}
         self._resident_bytes = 0
         self.hits = {kind: 0 for kind in BLOCK_KINDS}
         self.misses = {kind: 0 for kind in BLOCK_KINDS}
@@ -42,17 +44,22 @@ class BlockCache:
         if old is not None:
             self._resident_bytes -= len(old)
         self._blocks[key] = block
+        self._file_keys.setdefault(key[0], set()).add(key)
         self._resident_bytes += len(block)
         while self._resident_bytes > self.capacity_bytes:
-            _, evicted = self._blocks.popitem(last=False)
+            old_key, evicted = self._blocks.popitem(last=False)
             self._resident_bytes -= len(evicted)
+            keys = self._file_keys[old_key[0]]
+            keys.discard(old_key)
+            if not keys:
+                del self._file_keys[old_key[0]]
 
     def drop_file(self, file_id: int) -> None:
         """Evict all blocks of a file removed from the manifest."""
-        stale = [k for k in self._blocks if k[0] == file_id]
-        for key in stale:
+        for key in self._file_keys.pop(file_id, ()):
             self._resident_bytes -= len(self._blocks.pop(key))
 
     def clear(self) -> None:
         self._blocks.clear()
+        self._file_keys.clear()
         self._resident_bytes = 0

@@ -9,16 +9,20 @@ can be composed from the same parts.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .config import ENTRY_HEADER_BYTES
 from .errors import InvalidArgument, InvariantViolation
 from .manifest import ADD_NEW_RUN, ADD_SPLICE, VersionEdit
-from .sstable import TOMBSTONE, SortedFileMeta, load_slot_matrix
+from .sstable import (
+    TOMBSTONE,
+    SortedFileMeta,
+    key_columns,
+    load_slot_matrix,
+    sort_versions,
+)
 
 
 class TriggerKind(Enum):
@@ -620,33 +624,16 @@ def select_compaction(engine, level_no: int, trigger: Trigger) -> CompactionJob:
 # Execution
 
 
-def _merge_slots_fast(engine, input_ids, purge: bool):
-    """Vectorized merge over raw entry slots; None when key lengths vary."""
-    cfg = engine.cfg
-    mats = [load_slot_matrix(engine.reader(fid), cfg) for fid in input_ids]
-    slots = np.vstack(mats) if len(mats) > 1 else np.ascontiguousarray(mats[0])
-    klens = np.ascontiguousarray(slots[:, 0:2]).view("<u2").ravel()
-    key_len = int(klens[0])
-    if key_len == 0 or not (klens == key_len).all():
-        return None
-    keys = (
-        np.ascontiguousarray(slots[:, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + key_len])
-        .view(f"S{key_len}")
-        .ravel()
-    )
-    seqs = np.ascontiguousarray(slots[:, 4:12]).view("<u8").ravel()
-    # key ascending, then sequence number descending (newest version first)
-    order = np.lexsort((np.uint64(2**64 - 1) - seqs, keys))
-    sorted_keys = keys[order]
-    newest = np.empty(len(order), dtype=bool)
-    newest[0] = True
-    newest[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    keep = newest
-    if purge:
-        kinds = slots[:, ENTRY_HEADER_BYTES - 1][order]
-        keep = newest & (kinds != TOMBSTONE)
+def _merge_slots(engine, input_ids, purge: bool) -> tuple[np.ndarray, int]:
+    """Merge the input files' slots into key order, keeping each key's
+    newest version (and dropping that too when it is a purged tombstone).
+    Returns (merged slots, entries dropped)."""
+    mats = [load_slot_matrix(engine.reader(fid), engine.cfg) for fid in input_ids]
+    slots = np.vstack(mats) if len(mats) > 1 else mats[0]
+    order, newest, kinds = sort_versions([key_columns(slots)])
+    keep = newest & (kinds != TOMBSTONE) if purge else newest
     selected = order[keep]
-    return slots[selected], key_len, len(order) - len(selected)
+    return slots[selected], len(order) - len(selected)
 
 
 def execute_compaction(engine, job: CompactionJob) -> CompactionResult:
@@ -676,47 +663,13 @@ def execute_compaction(engine, job: CompactionJob) -> CompactionResult:
     inherited_ts_tick = min(ts_ticks) if ts_ticks else None
 
     per_file = cfg.entries_per_file
-    out_metas: list[SortedFileMeta] = []
-    fast = _merge_slots_fast(engine, input_ids, job.purge)
-    if fast is not None:
-        out_slots, key_len, dropped = fast
-        for start in range(0, len(out_slots), per_file):
-            out_metas.append(
-                engine.write_sorted_slots(
-                    out_slots[start : start + per_file],
-                    key_len,
-                    job.target_level,
-                    inherited_ts_tick,
-                )
-            )
-    else:
-        merged = heapq.merge(
-            *(engine.reader(fid).iter_entries() for fid in input_ids),
-            key=lambda e: (e[0], -e[1]),
+    out_slots, dropped = _merge_slots(engine, input_ids, job.purge)
+    out_metas = [
+        engine.write_sorted_slots(
+            out_slots[start : start + per_file], job.target_level, inherited_ts_tick
         )
-        chunk: list = []
-        dropped = 0
-        prev_key: bytes | None = None
-        purge = job.purge
-        for entry in merged:
-            key = entry[0]
-            if key == prev_key:
-                dropped += 1
-                continue
-            prev_key = key
-            if purge and entry[2] == TOMBSTONE:
-                dropped += 1
-                continue
-            chunk.append(entry)
-            if len(chunk) >= per_file:
-                out_metas.append(
-                    engine.write_sorted_file(chunk, job.target_level, inherited_ts_tick)
-                )
-                chunk = []
-        if chunk:
-            out_metas.append(
-                engine.write_sorted_file(chunk, job.target_level, inherited_ts_tick)
-            )
+        for start in range(0, len(out_slots), per_file)
+    ]
 
     out_entries = sum(m.entry_count for m in out_metas)
     out_pages = sum(m.data_pages for m in out_metas)

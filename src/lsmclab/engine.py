@@ -29,9 +29,12 @@ from .sstable import (
     SortedFileMeta,
     SstReader,
     decode_entry,
+    encode_slots,
+    key_columns,
+    load_slot_matrix,
     parse_index_block,
     scan_page_for_key,
-    write_file,
+    sort_versions,
     write_file_from_slots,
 )
 
@@ -117,24 +120,8 @@ class LsmEngine:
             self._readers[file_id] = reader
         return reader
 
-    def write_sorted_file(
-        self, entries: list[Entry], level: int, oldest_ts_tick: int | None
-    ) -> SortedFileMeta:
-        file_id = self.manifest.next_file_id
-        self.manifest.next_file_id += 1
-        path = os.path.join(self.directory, f"{file_id:08d}.sst")
-        return write_file(
-            path,
-            entries,
-            self.cfg,
-            file_id,
-            level,
-            created_tick=self.tick,
-            oldest_tombstone_tick=oldest_ts_tick,
-        )
-
     def write_sorted_slots(
-        self, slots, key_len: int, level: int, oldest_ts_tick: int | None
+        self, slots, level: int, oldest_ts_tick: int | None
     ) -> SortedFileMeta:
         file_id = self.manifest.next_file_id
         self.manifest.next_file_id += 1
@@ -142,7 +129,6 @@ class LsmEngine:
         return write_file_from_slots(
             path,
             slots,
-            key_len,
             self.cfg,
             file_id,
             level,
@@ -195,17 +181,16 @@ class LsmEngine:
     def flush_buffer(self) -> list[int]:
         if not self.buffer:
             raise InvalidArgument("flush of an empty buffer")
-        entries: list[Entry] = [
-            (key, seq, kind, value)
-            for key, (seq, kind, value) in sorted(self.buffer.items())
-        ]
+        entries = (
+            (key, seq, kind, value) for key, (seq, kind, value) in sorted(self.buffer.items())
+        )
+        slots = encode_slots(entries, self.cfg.entry_bytes)
         ts_tick = self._buffer_oldest_ts_tick
         per_file = self.cfg.entries_per_file
-        metas: list[SortedFileMeta] = []
-        for start in range(0, len(entries), per_file):
-            metas.append(
-                self.write_sorted_file(entries[start : start + per_file], 1, ts_tick)
-            )
+        metas = [
+            self.write_sorted_slots(slots[start : start + per_file], 1, ts_tick)
+            for start in range(0, len(slots), per_file)
+        ]
         edit = VersionEdit(adds=[(1, ADD_NEW_RUN, metas)])
         self.manifest.apply(edit)
         self.buffer.clear()
@@ -439,25 +424,18 @@ class LsmEngine:
 
     def measure_space_amp(self) -> float:
         """Exact space amplification: obsolete bytes over live bytes on disk."""
-        man = self.manifest
-        total = 0
-        live = 0
-        iters = [
-            self.reader(fid).iter_entries()
-            for level in man.snapshot()
+        # one file's slot matrix at a time; only its sort columns are kept
+        columns = [
+            key_columns(load_slot_matrix(self.reader(fid), self.cfg))
+            for level in self.manifest.snapshot()
             for run in level
             for fid in run
         ]
-        prev_key: bytes | None = None
-        for entry in heapq.merge(*iters, key=lambda e: (e[0], -e[1])):
-            total += 1
-            if entry[0] != prev_key:
-                prev_key = entry[0]
-                if entry[2] == PUT:
-                    live += 1
-        if total == 0:
+        if not columns:
             return 0.0
-        return (total - live) / max(live, 1)
+        _order, newest, kinds = sort_versions(columns)
+        live = int((newest & (kinds == PUT)).sum())
+        return (len(newest) - live) / max(live, 1)
 
     def report(self):
         return self.metrics.report(

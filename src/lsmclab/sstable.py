@@ -11,14 +11,20 @@ CRC32 and the magic "LSMCLAB1".
 
 Entries are 4-tuples ``(key, seqnum, kind, value)`` with ``kind`` one of
 PUT / TOMBSTONE. Within a file, entries are strictly sorted by key and each
-key appears at most once.
+key appears at most once; keys may differ in length.
+
+Entries move in bulk as slot matrices: (n, entry_bytes) uint8 arrays of
+encoded entries. Flush encodes its buffer into one, compaction merges the
+matrices of its input files, and both write through
+:func:`write_file_from_slots`, the one writer. :func:`sort_versions` owns
+the key order that the merge and the space-amp census sort by.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,66 +133,71 @@ def _write_blocks(
     return index_off, len(index), filter_off, len(filt)
 
 
-def write_file(
-    path: str,
-    entries: Sequence[Entry],
-    cfg: TreeConfig,
-    file_id: int,
-    level: int,
-    created_tick: int,
-    oldest_tombstone_tick: int | None,
-) -> SortedFileMeta:
-    """Write one sorted file; returns its metadata.
+def encode_slots(entries: Iterable[Entry], slot: int) -> np.ndarray:
+    """Encode entries into an (n, slot) uint8 slot matrix, one row each."""
+    raw = b"".join(encode_entry(k, s, kd, v, slot) for k, s, kd, v in entries)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, slot)
 
-    ``entries`` must be key-sorted and duplicate-free. ``oldest_tombstone_tick``
-    is recorded only when the file actually contains tombstones.
+
+def _key_lengths(slots: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(slots[:, 0:2]).view("<u2").ravel()
+
+
+def _padded_keys(slots: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """Each row's key cut or zero-padded to ``width`` bytes, as (n, width) uint8."""
+    keys = np.zeros((len(slots), width), dtype=np.uint8)
+    take = min(width, slots.shape[1] - ENTRY_HEADER_BYTES)
+    keys[:, :take] = slots[:, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + take]
+    keys *= np.arange(width, dtype=lengths.dtype) < lengths[:, None]
+    return keys
+
+
+KeyColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def key_columns(slots: np.ndarray) -> KeyColumns:
+    """The columns :func:`sort_versions` orders a slot matrix by.
+
+    Returns (key words, key lengths, seqnums, kinds). Key words are an
+    (n, w) uint64 matrix: each key zero-padded to ``8 * w`` bytes, w fitting
+    the longest key, read as big-endian words so that comparing rows word
+    by word compares the padded keys byte by byte.
     """
-    if not entries:
-        raise InvalidArgument("refusing to write an empty file")
-    slot = cfg.entry_bytes
-    per_page = cfg.entries_per_page
-    page_bytes = cfg.page_bytes
+    lengths = _key_lengths(slots)
+    width = -(-int(lengths.max()) // 8) * 8
+    words = _padded_keys(slots, lengths, width).view(">u8").astype(np.uint64)
+    seqnums = np.ascontiguousarray(slots[:, 4:12]).view("<u8").ravel()
+    return words, lengths, seqnums, slots[:, ENTRY_HEADER_BYTES - 1].copy()
 
-    pages: list[bytes] = []
-    fences: list[bytes] = []
-    tombstones = 0
-    keys: list[bytes] = []
-    for start in range(0, len(entries), per_page):
-        chunk = entries[start : start + per_page]
-        fences.append(chunk[0][0])
-        buf = b"".join(
-            encode_entry(k, s, kd, v, slot) for (k, s, kd, v) in chunk
-        ).ljust(page_bytes, b"\x00")
-        pages.append(buf)
-        for k, _s, kd, _v in chunk:
-            keys.append(k)
-            if kd == TOMBSTONE:
-                tombstones += 1
 
-    index = _pack_index(fences, page_bytes)
-    filt = BloomFilter.from_keys(keys, cfg.bits_per_key).to_bytes()
-    data = b"".join(pages)
-    index_off, index_len, filter_off, filter_len = _write_blocks(
-        path, data, index, filt, len(entries), len(pages)
+def sort_versions(columns: Sequence[KeyColumns]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order the rows of several slot matrices as the store orders entries.
+
+    This owns the key order: keys ascend in byte order and each key's
+    versions follow newest (highest seqnum) first. Zero padding makes a key
+    tie with its extensions by zero bytes (``b"a"``, ``b"a\\x00"``); the
+    length tie-break then puts the shorter first, which is byte order.
+    ``columns`` come from :func:`key_columns`, one per matrix, and row
+    numbers count through the matrices in turn. Returns (order, newest,
+    kinds): the row order, whether each sorted row is its key's newest
+    version, and each sorted row's kind.
+    """
+    n_words = max(c[0].shape[1] for c in columns)
+    words = np.concatenate(
+        [np.pad(c[0], ((0, 0), (0, n_words - c[0].shape[1]))) for c in columns]
     )
-
-    return SortedFileMeta(
-        file_id=file_id,
-        level=level,
-        path=path,
-        min_key=entries[0][0],
-        max_key=entries[-1][0],
-        entry_count=len(entries),
-        tombstone_count=tombstones,
-        data_pages=len(pages),
-        created_tick=created_tick,
-        oldest_tombstone_tick=oldest_tombstone_tick if tombstones else None,
-        last_access_tick=created_tick,
-        index_off=index_off,
-        index_len=index_len,
-        filter_off=filter_off,
-        filter_len=filter_len,
-    )
+    lengths = np.concatenate([c[1] for c in columns])
+    seqnums = np.concatenate([c[2] for c in columns])
+    kinds = np.concatenate([c[3] for c in columns])
+    # np.lexsort sorts by its last key first
+    sort_keys = [~seqnums, lengths] + [words[:, j] for j in reversed(range(n_words))]
+    order = np.lexsort(sort_keys)
+    words = words[order]
+    lengths = lengths[order]
+    newest = np.empty(len(order), dtype=bool)
+    newest[:1] = True
+    newest[1:] = (lengths[1:] != lengths[:-1]) | (words[1:] != words[:-1]).any(axis=1)
+    return order, newest, kinds[order]
 
 
 def load_slot_matrix(reader: "SstReader", cfg: TreeConfig) -> np.ndarray:
@@ -204,17 +215,21 @@ def load_slot_matrix(reader: "SstReader", cfg: TreeConfig) -> np.ndarray:
 def write_file_from_slots(
     path: str,
     slots: np.ndarray,
-    key_len: int,
     cfg: TreeConfig,
     file_id: int,
     level: int,
     created_tick: int,
     oldest_tombstone_tick: int | None,
 ) -> SortedFileMeta:
-    """Write a sorted file from pre-encoded entry slots of uniform key length.
+    """Write one sorted file; returns its metadata. Every file is written here.
 
-    Byte-for-byte equivalent to :func:`write_file` on the decoded entries, but
-    the data pages are assembled by block copy instead of per-entry encoding.
+    ``slots`` is an (n, entry_bytes) uint8 matrix of entries encoded by
+    :func:`encode_entry`, key-sorted and duplicate-free; keys may differ in
+    length. Pages are filled by block copy, each fence is its page's first
+    key at that key's own length, and the Bloom filter hashes every key's
+    zero-padded first 16 bytes with its length, as
+    :meth:`BloomFilter.from_keys` does. ``oldest_tombstone_tick`` is
+    recorded only when the file actually contains tombstones.
     """
     n = len(slots)
     if n == 0:
@@ -227,17 +242,14 @@ def write_file_from_slots(
     buf[:, : per_page * slot].reshape(-1, slot)[:n] = slots
     data = buf.tobytes()
 
-    keyblock = np.ascontiguousarray(
-        slots[:, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + key_len]
-    )
-    fences = [keyblock[i].tobytes() for i in range(0, n, per_page)]
-    index = _pack_index(fences, cfg.page_bytes)
+    lengths = _key_lengths(slots)
 
-    padded = np.zeros((n, 16), dtype=np.uint8)
-    width = min(key_len, 16)
-    padded[:, :width] = keyblock[:, :width]
-    words = padded.view("<u8")
-    filt = BloomFilter.from_key_words(words, key_len, cfg.bits_per_key).to_bytes()
+    def key_at(row: int) -> bytes:
+        return slots[row, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + int(lengths[row])].tobytes()
+
+    index = _pack_index([key_at(i) for i in range(0, n, per_page)], cfg.page_bytes)
+    words = _padded_keys(slots, lengths, 16).view("<u8")
+    filt = BloomFilter.from_key_words(words, lengths, cfg.bits_per_key).to_bytes()
 
     tombstones = int((slots[:, ENTRY_HEADER_BYTES - 1] == TOMBSTONE).sum())
     index_off, index_len, filter_off, filter_len = _write_blocks(
@@ -248,8 +260,8 @@ def write_file_from_slots(
         file_id=file_id,
         level=level,
         path=path,
-        min_key=keyblock[0].tobytes(),
-        max_key=keyblock[-1].tobytes(),
+        min_key=key_at(0),
+        max_key=key_at(n - 1),
         entry_count=n,
         tombstone_count=tombstones,
         data_pages=n_pages,
@@ -260,6 +272,27 @@ def write_file_from_slots(
         index_len=index_len,
         filter_off=filter_off,
         filter_len=filter_len,
+    )
+
+
+def write_file(
+    path: str,
+    entries: Sequence[Entry],
+    cfg: TreeConfig,
+    file_id: int,
+    level: int,
+    created_tick: int,
+    oldest_tombstone_tick: int | None,
+) -> SortedFileMeta:
+    """Encode ``entries`` and write them with :func:`write_file_from_slots`."""
+    return write_file_from_slots(
+        path,
+        encode_slots(entries, cfg.entry_bytes),
+        cfg,
+        file_id,
+        level,
+        created_tick,
+        oldest_tombstone_tick,
     )
 
 

@@ -33,3 +33,19 @@ def key(i: int, width: int = 8) -> bytes:
 
 def value(i: int, size: int = 20) -> bytes:
     return (b"v%d" % i).ljust(size, b".")
+
+
+# Keys of 1-24 bytes in byte order: prefix pairs that differ only by a
+# trailing zero byte or one more byte, and keys longer than 8 and 16 bytes.
+MIXED_KEYS = (
+    b"a",
+    b"a\x00",
+    b"ab",
+    b"abcdefgh",
+    b"abcdefgh\x00",
+    b"abcdefghi",
+    b"k" * 16,
+    b"k" * 16 + b"\x00",
+    b"k" * 17,
+    b"z" * 24,
+)

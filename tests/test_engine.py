@@ -1,3 +1,4 @@
+import heapq
 import os
 
 import pytest
@@ -6,7 +7,7 @@ from lsmclab import LsmEngine, TreeConfig
 from lsmclab.errors import InvalidArgument
 from lsmclab.sstable import PUT
 
-from conftest import key, small_config, value
+from conftest import MIXED_KEYS, key, small_config, value
 
 
 @pytest.fixture
@@ -152,6 +153,49 @@ def test_space_amp_counts_obsolete_versions(tmp_path):
     eng.quiesce()
     if any(len(level) > 1 for level in eng.manifest.snapshot()):
         assert eng.measure_space_amp() > 0.0
+    eng.close()
+
+
+def reference_space_amp(eng):
+    """The census as a heapq merge of every file's decoded entries."""
+    iters = [
+        eng.reader(fid).iter_entries()
+        for level in eng.manifest.snapshot()
+        for run in level
+        for fid in run
+    ]
+    total = live = 0
+    prev_key = None
+    for k, _seq, kind, _v in heapq.merge(*iters, key=lambda e: (e[0], -e[1])):
+        total += 1
+        if k != prev_key:
+            prev_key = k
+            if kind == PUT:
+                live += 1
+    return (total - live) / max(live, 1) if total else 0.0
+
+
+def test_space_amp_matches_reference_merge(tmp_path):
+    cfg = small_config()
+    # without auto compaction every flush stays a run of its own
+    eng = LsmEngine(str(tmp_path), cfg, "tier", auto_compact=False, debug_checks=True)
+    keys = list(MIXED_KEYS) + [b"m%d" % i for i in range(20)]
+    oracle = {}
+    for r in range(6):
+        for j, k in enumerate(keys):
+            if (j + r) % 4 == 0:
+                eng.delete(k)
+                oracle.pop(k, None)
+            else:
+                eng.put(k, b"r%d" % r)
+                oracle[k] = b"r%d" % r
+    assert eng.manifest.run_count(1) > 1
+    want = reference_space_amp(eng)
+    assert want > 0.0
+    assert eng.measure_space_amp() == want
+    eng.quiesce()
+    assert eng.measure_space_amp() == reference_space_amp(eng)
+    assert all(eng.get(k) == oracle.get(k) for k in keys)
     eng.close()
 
 

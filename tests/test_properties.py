@@ -6,9 +6,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lsmclab import LsmEngine
 from lsmclab.bloom import BloomFilter
+from lsmclab.sstable import PUT
 from lsmclab.workload import Distribution, WorkloadSpec, generate
 
-from conftest import key, small_config
+from conftest import MIXED_KEYS, key, small_config
 
 PRESET_SAMPLE = ("full", "lo1", "rr", "tier", "1lvl", "tsd")
 
@@ -67,6 +68,62 @@ def test_engine_matches_dict_oracle(ops, strategy, seed):
         eng.manifest.check()
         for k, v in oracle.items():
             assert eng.get(k) == v
+        eng.close()
+
+
+@st.composite
+def mixed_key_ops(draw):
+    pool = list(MIXED_KEYS) + draw(st.lists(st.binary(min_size=1, max_size=24), max_size=40))
+    key_st = st.sampled_from(pool)
+    op_st = st.sampled_from(("put", "put", "del", "get", "scan"))
+    return draw(st.lists(st.tuples(op_st, key_st, key_st), min_size=20, max_size=150))
+
+
+def census_oracle(eng):
+    """Space amplification from every file's decoded entries and a dict."""
+    newest: dict[bytes, tuple[int, int]] = {}
+    total = 0
+    for fid in eng.manifest.files:
+        for k, seq, kind, _v in eng.reader(fid).iter_entries():
+            total += 1
+            if k not in newest or seq > newest[k][0]:
+                newest[k] = (seq, kind)
+    live = sum(kind == PUT for _seq, kind in newest.values())
+    return (total - live) / max(live, 1) if total else 0.0
+
+
+@given(ops=mixed_key_ops(), strategy=st.sampled_from(("full", "lo1", "tier", "1lvl")))
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_mixed_length_keys_match_dict_oracle(ops, strategy):
+    cfg = small_config()
+    oracle: dict[bytes, bytes] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        eng = LsmEngine(tmp, cfg, strategy, debug_checks=True)
+        for i, (kind, k, other) in enumerate(ops):
+            if kind == "put":
+                v = b"v%d" % i
+                eng.put(k, v)
+                oracle[k] = v
+            elif kind == "del":
+                eng.delete(k)
+                oracle.pop(k, None)
+            elif kind == "get":
+                assert eng.get(k) == oracle.get(k)
+            else:
+                lo, hi = min(k, other), max(k, other)
+                want = sorted((a, b) for a, b in oracle.items() if lo <= a < hi)
+                assert eng.range_scan(lo, hi) == want
+        assert eng.measure_space_amp() == census_oracle(eng)
+        eng.quiesce()
+        eng.manifest.check()
+        assert eng.measure_space_amp() == census_oracle(eng)
+        for k in {k for _op, k, _other in ops}:
+            assert eng.get(k) == oracle.get(k)
+        assert eng.range_scan(b"", b"\xff" * 25) == sorted(oracle.items())
         eng.close()
 
 

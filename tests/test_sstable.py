@@ -1,5 +1,7 @@
+import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from lsmclab.errors import InvalidArgument
@@ -13,9 +15,10 @@ from lsmclab.sstable import (
     scan_page_for_key,
     verify_file,
     write_file,
+    write_file_from_slots,
 )
 
-from conftest import key, small_config, value
+from conftest import MIXED_KEYS, key, small_config, value
 
 
 def make_entries(n, start=0, step=2, kind=PUT):
@@ -133,4 +136,51 @@ def test_iter_entries_from_middle_page(tmp_path, cfg):
     _path, meta = write_tmp(tmp_path, entries, cfg)
     reader = SstReader(meta, cfg)
     assert list(reader.iter_entries(start_page=2)) == entries[8:]
+    reader.close()
+
+
+# sha256 of the file ``write_file`` wrote for GOLDEN_ENTRIES when it still
+# encoded and wrote entry tuples itself, before all files went through the
+# slot writer
+GOLDEN_SHA256 = "8d35f09597d03d5bf2921c3cf730315661f7a3a34fca692881020ddb5a790e3f"
+GOLDEN_ENTRIES = [
+    (k, seq, kind, v)
+    for k, (seq, kind, v) in zip(
+        MIXED_KEYS,
+        [
+            (9, PUT, b"one"),
+            (3, TOMBSTONE, b""),
+            (12, PUT, b"two"),
+            (5, PUT, b"eight"),
+            (7, TOMBSTONE, b""),
+            (1, PUT, b"nine"),
+            (20, PUT, b"sixteen"),
+            (21, PUT, b""),
+            (2, TOMBSTONE, b""),
+            (30, PUT, b"v" * 20),
+        ],
+    )
+]
+
+
+def file_sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_golden_file_format(tmp_path, cfg):
+    path = os.path.join(tmp_path, "entries.sst")
+    meta = write_file(path, GOLDEN_ENTRIES, cfg, 1, 1, created_tick=7, oldest_tombstone_tick=5)
+    assert file_sha256(path) == GOLDEN_SHA256
+    slots = np.frombuffer(
+        b"".join(encode_entry(*e, cfg.entry_bytes) for e in GOLDEN_ENTRIES), dtype=np.uint8
+    ).reshape(-1, cfg.entry_bytes)
+    slot_path = os.path.join(tmp_path, "slots.sst")
+    write_file_from_slots(slot_path, slots, cfg, 1, 1, created_tick=7, oldest_tombstone_tick=5)
+    assert file_sha256(slot_path) == GOLDEN_SHA256
+    assert (meta.min_key, meta.max_key) == (b"a", b"z" * 24)
+    reader = SstReader(meta, cfg)
+    fences = [k for k, _off in parse_index_block(reader.read_index_block())]
+    assert fences == [b"a", b"abcdefgh\x00", b"k" * 17]
+    assert list(reader.iter_entries()) == GOLDEN_ENTRIES
     reader.close()
