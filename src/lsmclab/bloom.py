@@ -47,14 +47,16 @@ def _hash_pair(key: bytes) -> tuple[int, int]:
     return h1, h2 | 1
 
 
-def _hash_matrix(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector twin of _hash_pair: words is (n, 2) uint64, lengths uint64."""
+def key_hashes(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vector twin of _hash_pair: words is (n, 2) little-endian uint64, each
+    key's zero-padded first 16 bytes; lengths are the keys' lengths."""
     c1 = np.uint64(_C1)
     c2 = np.uint64(_C2)
     c3 = np.uint64(_C3)
     c4 = np.uint64(_C4)
     w0 = words[:, 0]
     w1 = words[:, 1]
+    lengths = lengths.astype(np.uint64, copy=False)
     h1 = (w0 * c1) ^ (w1 * c2) ^ (lengths * c3)
     h1 = (h1 ^ (h1 >> np.uint64(29))) * c4
     h2 = (w0 * c3) ^ (w1 * c4) ^ lengths
@@ -84,32 +86,32 @@ class BloomFilter:
         keys = list(keys)
         if bits_per_key <= 0 or not keys:
             return cls(0, 0, b"")
-        words, lengths = _pack_keys(keys)
-        return cls._build(words, lengths, len(keys), bits_per_key)
+        return cls._build(key_hashes(*_pack_keys(keys)), bits_per_key)
 
     @classmethod
     def from_key_words(
-        cls, words: np.ndarray, lengths: np.ndarray, bits_per_key: float
+        cls, hashes: tuple[np.ndarray, np.ndarray], bits_per_key: float
     ) -> "BloomFilter":
-        """Build from pre-packed (n, 2) little-endian uint64 words of each
-        key's zero-padded first 16 bytes, and the keys' lengths."""
-        n = len(words)
-        if bits_per_key <= 0 or n == 0:
+        """Build from the keys' hash pairs, as :func:`key_hashes` computes
+        them, so a writer can hash a whole job's keys once."""
+        if bits_per_key <= 0 or len(hashes[0]) == 0:
             return cls(0, 0, b"")
-        return cls._build(words, lengths.astype(np.uint64), n, bits_per_key)
+        return cls._build(hashes, bits_per_key)
 
     @classmethod
     def _build(
-        cls, words: np.ndarray, lengths: np.ndarray, n: int, bits_per_key: float
+        cls, hashes: tuple[np.ndarray, np.ndarray], bits_per_key: float
     ) -> "BloomFilter":
-        num_bits = max(64, int(math.ceil(n * bits_per_key)))
+        h1, h2 = hashes
+        num_bits = max(64, int(math.ceil(len(h1) * bits_per_key)))
         num_bits = (num_bits + 7) // 8 * 8
         num_hashes = max(1, round(bits_per_key * math.log(2)))
-        h1, h2 = _hash_matrix(words, lengths)
-        steps = np.arange(num_hashes, dtype=np.uint64)
-        positions = (h1[:, None] + steps[None, :] * h2[:, None]) % np.uint64(num_bits)
+        # (num_hashes, n): each numpy op runs one long inner loop over keys
+        steps = np.arange(num_hashes, dtype=np.uint64)[:, None]
+        positions = (h1 + steps * h2) % np.uint64(num_bits)
         bitarr = np.zeros(num_bits, dtype=np.uint8)
-        bitarr[positions.ravel()] = 1
+        # positions fit in int64, and numpy indexes with int64 fastest
+        bitarr[positions.view(np.int64).ravel()] = 1
         packed = np.packbits(bitarr, bitorder="little").tobytes()
         return cls(num_bits, num_hashes, packed)
 

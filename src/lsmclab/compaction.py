@@ -19,8 +19,10 @@ from .manifest import ADD_NEW_RUN, ADD_SPLICE, VersionEdit
 from .sstable import (
     TOMBSTONE,
     SortedFileMeta,
+    check_newest_first,
     key_columns,
     load_slot_matrix,
+    slot_seqnums,
     sort_versions,
 )
 
@@ -627,13 +629,21 @@ def select_compaction(engine, level_no: int, trigger: Trigger) -> CompactionJob:
 def _merge_slots(engine, input_ids, purge: bool) -> tuple[np.ndarray, int]:
     """Merge the input files' slots into key order, keeping each key's
     newest version (and dropping that too when it is a purged tombstone).
-    Returns (merged slots, entries dropped)."""
-    mats = [load_slot_matrix(engine.reader(fid), engine.cfg) for fid in input_ids]
-    slots = np.vstack(mats) if len(mats) > 1 else mats[0]
+    ``input_ids`` run newest first: victims, then targets. Returns (merged
+    slots, entries dropped)."""
+    counts = [engine.manifest.files[fid].entry_count for fid in input_ids]
+    slots = np.empty((sum(counts), engine.cfg.entry_bytes), dtype=np.uint8)
+    row = 0
+    for fid, count in zip(input_ids, counts):
+        load_slot_matrix(engine.reader(fid), engine.cfg, out=slots[row : row + count])
+        row += count
     order, newest, kinds = sort_versions([key_columns(slots)])
+    if engine.debug_checks:
+        check_newest_first(slot_seqnums(slots)[order], newest)
     keep = newest & (kinds != TOMBSTONE) if purge else newest
     selected = order[keep]
-    return slots[selected], len(order) - len(selected)
+    # np.take gathers whole rows several times faster than slots[selected]
+    return np.take(slots, selected, axis=0), len(order) - len(selected)
 
 
 def execute_compaction(engine, job: CompactionJob) -> CompactionResult:
@@ -662,14 +672,8 @@ def execute_compaction(engine, job: CompactionJob) -> CompactionResult:
     ]
     inherited_ts_tick = min(ts_ticks) if ts_ticks else None
 
-    per_file = cfg.entries_per_file
     out_slots, dropped = _merge_slots(engine, input_ids, job.purge)
-    out_metas = [
-        engine.write_sorted_slots(
-            out_slots[start : start + per_file], job.target_level, inherited_ts_tick
-        )
-        for start in range(0, len(out_slots), per_file)
-    ]
+    out_metas = engine.write_sorted_slots(out_slots, job.target_level, inherited_ts_tick)
 
     out_entries = sum(m.entry_count for m in out_metas)
     out_pages = sum(m.data_pages for m in out_metas)

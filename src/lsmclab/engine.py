@@ -14,6 +14,8 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import compaction
 from .bloom import BloomFilter, _hash_pair
 from .cache import BlockCache
@@ -26,14 +28,17 @@ from .sstable import (
     PUT,
     TOMBSTONE,
     Entry,
+    JobColumns,
     SortedFileMeta,
     SstReader,
+    check_newest_first,
     decode_entry,
     encode_slots,
     key_columns,
     load_slot_matrix,
     parse_index_block,
     scan_page_for_key,
+    slot_seqnums,
     sort_versions,
     write_file_from_slots,
 )
@@ -122,19 +127,21 @@ class LsmEngine:
 
     def write_sorted_slots(
         self, slots, level: int, oldest_ts_tick: int | None
-    ) -> SortedFileMeta:
-        file_id = self.manifest.next_file_id
-        self.manifest.next_file_id += 1
-        path = os.path.join(self.directory, f"{file_id:08d}.sst")
-        return write_file_from_slots(
-            path,
-            slots,
-            self.cfg,
-            file_id,
-            level,
-            created_tick=self.tick,
-            oldest_tombstone_tick=oldest_ts_tick,
-        )
+    ) -> list[SortedFileMeta]:
+        """Write a job's whole sorted output as files of ``entries_per_file``
+        rows; the columns they are written from are computed once."""
+        if not len(slots):
+            return []
+        job = JobColumns(slots, self.cfg, self.cfg.entries_per_file)
+        metas = []
+        for part in range(job.files):
+            file_id = self.manifest.next_file_id
+            self.manifest.next_file_id += 1
+            path = os.path.join(self.directory, f"{file_id:08d}.sst")
+            metas.append(
+                write_file_from_slots(path, job, part, file_id, level, self.tick, oldest_ts_tick)
+            )
+        return metas
 
     def forget_files(self, file_ids: list[int]) -> None:
         """Drop caches and readers for files removed from the manifest."""
@@ -185,12 +192,7 @@ class LsmEngine:
             (key, seq, kind, value) for key, (seq, kind, value) in sorted(self.buffer.items())
         )
         slots = encode_slots(entries, self.cfg.entry_bytes)
-        ts_tick = self._buffer_oldest_ts_tick
-        per_file = self.cfg.entries_per_file
-        metas = [
-            self.write_sorted_slots(slots[start : start + per_file], 1, ts_tick)
-            for start in range(0, len(slots), per_file)
-        ]
+        metas = self.write_sorted_slots(slots, 1, self._buffer_oldest_ts_tick)
         edit = VersionEdit(adds=[(1, ADD_NEW_RUN, metas)])
         self.manifest.apply(edit)
         self.buffer.clear()
@@ -424,16 +426,19 @@ class LsmEngine:
 
     def measure_space_amp(self) -> float:
         """Exact space amplification: obsolete bytes over live bytes on disk."""
-        # one file's slot matrix at a time; only its sort columns are kept
-        columns = [
-            key_columns(load_slot_matrix(self.reader(fid), self.cfg))
-            for level in self.manifest.snapshot()
-            for run in level
-            for fid in run
-        ]
+        # one file's slot matrix at a time, newest run first; only its sort
+        # columns (and seqnums, to check the run order) are kept
+        columns, seqnums = [], []
+        for fid in [fid for level in self.manifest.snapshot() for run in level for fid in run]:
+            slots = load_slot_matrix(self.reader(fid), self.cfg)
+            columns.append(key_columns(slots))
+            if self.debug_checks:
+                seqnums.append(slot_seqnums(slots))
         if not columns:
             return 0.0
-        _order, newest, kinds = sort_versions(columns)
+        order, newest, kinds = sort_versions(columns)
+        if self.debug_checks:
+            check_newest_first(np.concatenate(seqnums)[order], newest)
         live = int((newest & (kinds == PUT)).sum())
         return (len(newest) - live) / max(live, 1)
 

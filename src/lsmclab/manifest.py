@@ -95,12 +95,28 @@ class Manifest:
     def open(self) -> None:
         os.makedirs(self.directory, exist_ok=True)
         if os.path.exists(self._log_path):
-            with open(self._log_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        self._apply(self._edit_from_json(json.loads(line)))
+            self._replay()
         self._log = open(self._log_path, "a", encoding="utf-8")
+
+    def _replay(self) -> None:
+        """Apply every complete edit in the log. Bytes after the last newline
+        are an append cut short by a crash: the edit never took effect, so
+        they are truncated before the log reopens for appending."""
+        with open(self._log_path, "rb") as fh:
+            raw = fh.read()
+        complete = raw.rfind(b"\n") + 1
+        for line_no, line in enumerate(raw[:complete].splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise StorageIOError(
+                    f"{self._log_path} line {line_no} is not a complete edit"
+                ) from exc
+            self._apply(self._edit_from_json(obj))
+        if complete < len(raw):
+            os.truncate(self._log_path, complete)
 
     def close(self) -> None:
         if self._log is not None:

@@ -14,10 +14,16 @@ PUT / TOMBSTONE. Within a file, entries are strictly sorted by key and each
 key appears at most once; keys may differ in length.
 
 Entries move in bulk as slot matrices: (n, entry_bytes) uint8 arrays of
-encoded entries. Flush encodes its buffer into one, compaction merges the
-matrices of its input files, and both write through
-:func:`write_file_from_slots`, the one writer. :func:`sort_versions` owns
-the key order that the merge and the space-amp census sort by.
+encoded entries. Flush encodes its buffer into one and compaction merges
+the matrices of its input files. Either way the job's whole sorted output
+goes to :class:`JobColumns`, which computes what the files need once per
+job, and :func:`write_file_from_slots`, the one writer, writes each file
+from its slice of those columns.
+
+:func:`sort_versions` owns the key order that the merge and the space-amp
+census sort by. Callers stack rows newest run first, and keys are unique
+within a run, so a stable sort by key alone keeps each key's newest
+version first.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloom import BloomFilter
+from .bloom import BloomFilter, key_hashes
 from .config import ENTRY_HEADER_BYTES, TreeConfig
-from .errors import InvalidArgument, StorageIOError
+from .errors import InvalidArgument, InvariantViolation, StorageIOError
 
 PUT = 0
 TOMBSTONE = 1
@@ -94,21 +100,21 @@ def decode_entry(page: bytes, offset: int) -> Entry:
     return key, seqnum, kind, value
 
 
-def _pack_index(fences: Sequence[bytes], page_bytes: int) -> bytes:
-    index = bytearray(struct.pack("<I", len(fences)))
-    for page_no, first_key in enumerate(fences):
-        index += struct.pack("<HQ", len(first_key), page_no * page_bytes)
-        index += first_key
-    return bytes(index)
-
-
 def _write_blocks(
-    path: str, data: bytes, index: bytes, filt: bytes, entry_count: int, n_pages: int
+    path: str,
+    data: np.ndarray,
+    tail: bytes,
+    index: bytes,
+    filt: bytes,
+    entry_count: int,
+    n_pages: int,
 ) -> tuple[int, int, int, int]:
-    """Append index/filter/footer to the data section and persist the file."""
-    index_off = len(data)
+    """Write the data section (``data`` then the zero ``tail`` that fills its
+    last page), the index and filter blocks and the footer."""
+    index_off = data.nbytes + len(tail)
     filter_off = index_off + len(index)
     crc = zlib.crc32(data)
+    crc = zlib.crc32(tail, crc)
     crc = zlib.crc32(index, crc)
     crc = zlib.crc32(filt, crc)
     footer = _FOOTER.pack(
@@ -125,6 +131,7 @@ def _write_blocks(
     try:
         with open(path, "wb") as fh:
             fh.write(data)
+            fh.write(tail)
             fh.write(index)
             fh.write(filt)
             fh.write(footer)
@@ -152,47 +159,58 @@ def _padded_keys(slots: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarr
     return keys
 
 
-KeyColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+KeyColumns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def key_columns(slots: np.ndarray) -> KeyColumns:
     """The columns :func:`sort_versions` orders a slot matrix by.
 
-    Returns (key words, key lengths, seqnums, kinds). Key words are an
-    (n, w) uint64 matrix: each key zero-padded to ``8 * w`` bytes, w fitting
-    the longest key, read as big-endian words so that comparing rows word
-    by word compares the padded keys byte by byte.
+    Returns (key words, key lengths, kinds). Key words are an (n, w) uint64
+    matrix: each key zero-padded to ``8 * w`` bytes, w fitting the longest
+    key, read as big-endian words so that comparing rows word by word
+    compares the padded keys byte by byte.
     """
     lengths = _key_lengths(slots)
     width = -(-int(lengths.max()) // 8) * 8
     words = _padded_keys(slots, lengths, width).view(">u8").astype(np.uint64)
-    seqnums = np.ascontiguousarray(slots[:, 4:12]).view("<u8").ravel()
-    return words, lengths, seqnums, slots[:, ENTRY_HEADER_BYTES - 1].copy()
+    return words, lengths, slots[:, ENTRY_HEADER_BYTES - 1].copy()
+
+
+def slot_seqnums(slots: np.ndarray) -> np.ndarray:
+    """Each row's seqnum, for :func:`check_newest_first`."""
+    return np.ascontiguousarray(slots[:, 4:12]).view("<u8").ravel()
 
 
 def sort_versions(columns: Sequence[KeyColumns]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Order the rows of several slot matrices as the store orders entries.
 
     This owns the key order: keys ascend in byte order and each key's
-    versions follow newest (highest seqnum) first. Zero padding makes a key
-    tie with its extensions by zero bytes (``b"a"``, ``b"a\\x00"``); the
-    length tie-break then puts the shorter first, which is byte order.
-    ``columns`` come from :func:`key_columns`, one per matrix, and row
-    numbers count through the matrices in turn. Returns (order, newest,
-    kinds): the row order, whether each sorted row is its key's newest
-    version, and each sorted row's kind.
+    versions follow newest first. Zero padding makes a key tie with its
+    extensions by zero bytes (``b"a"``, ``b"a\\x00"``); the length
+    tie-break then puts the shorter first, which is byte order.
+
+    Seqnums are not a sort key. Callers stack rows newest run first (a
+    merge's victims before its targets, a level's runs newest first,
+    levels shallowest first), and keys are unique within a run, so a
+    stable sort by key keeps each key's newest version first;
+    :func:`check_newest_first` verifies it. ``columns`` come from
+    :func:`key_columns`, one per matrix, and row numbers count through the
+    matrices in turn. Returns (order, newest, kinds): the row order,
+    whether each sorted row is its key's newest version, and each sorted
+    row's kind.
     """
     n_words = max(c[0].shape[1] for c in columns)
     words = np.concatenate(
         [np.pad(c[0], ((0, 0), (0, n_words - c[0].shape[1]))) for c in columns]
     )
     lengths = np.concatenate([c[1] for c in columns])
-    seqnums = np.concatenate([c[2] for c in columns])
-    kinds = np.concatenate([c[3] for c in columns])
-    # np.lexsort sorts by its last key first
-    sort_keys = [~seqnums, lengths] + [words[:, j] for j in reversed(range(n_words))]
-    order = np.lexsort(sort_keys)
-    words = words[order]
+    kinds = np.concatenate([c[2] for c in columns])
+    if n_words == 1 and (lengths == lengths[0]).all():
+        order = np.argsort(words[:, 0], kind="stable")
+    else:
+        # np.lexsort is stable and sorts by its last key first
+        order = np.lexsort([lengths] + [words[:, j] for j in reversed(range(n_words))])
+    words = np.take(words, order, axis=0)
     lengths = lengths[order]
     newest = np.empty(len(order), dtype=bool)
     newest[:1] = True
@@ -200,68 +218,139 @@ def sort_versions(columns: Sequence[KeyColumns]) -> tuple[np.ndarray, np.ndarray
     return order, newest, kinds[order]
 
 
-def load_slot_matrix(reader: "SstReader", cfg: TreeConfig) -> np.ndarray:
-    """Read the data section as an (entry_count, entry_bytes) uint8 matrix."""
+def check_newest_first(seqnums: np.ndarray, newest: np.ndarray) -> None:
+    """Raise unless seqnums strictly descend within each key's versions.
+
+    ``seqnums`` are in :func:`sort_versions` order and ``newest`` is its
+    mask; a failure means the rows were not stacked newest run first.
+    """
+    if (~newest[1:] & (seqnums[1:] >= seqnums[:-1])).any():
+        raise InvariantViolation("a key's versions are not newest first: inputs out of run order")
+
+
+def load_slot_matrix(
+    reader: "SstReader", cfg: TreeConfig, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Read the data section as an (entry_count, entry_bytes) uint8 matrix,
+    into ``out`` (C-contiguous, of that shape) when given."""
     meta = reader.meta
-    fh = reader._file()
-    fh.seek(0)
-    raw = fh.read(meta.data_pages * cfg.page_bytes)
     per_page = cfg.entries_per_page
     slot = cfg.entry_bytes
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(meta.data_pages, cfg.page_bytes)
-    return arr[:, : per_page * slot].reshape(-1, slot)[: meta.entry_count]
+    if out is None:
+        out = np.empty((meta.entry_count, slot), dtype=np.uint8)
+    fh = reader._file()
+    fh.seek(0)
+    if per_page * slot == cfg.page_bytes:
+        # no slack in a page: the rows are the data section's leading bytes
+        if fh.readinto(out) != out.nbytes:
+            raise StorageIOError(f"{meta.path}: data section cut short")
+    else:
+        raw = fh.read(meta.data_pages * cfg.page_bytes)
+        pages = np.frombuffer(raw, dtype=np.uint8).reshape(meta.data_pages, cfg.page_bytes)
+        out[:] = pages[:, : per_page * slot].reshape(-1, slot)[: meta.entry_count]
+    return out
+
+
+class JobColumns:
+    """What a job's files are written from, computed once over all its rows.
+
+    ``slots`` is a job's whole output: an (n, entry_bytes) uint8 matrix of
+    entries encoded by :func:`encode_entry`, key-sorted and duplicate-free;
+    keys may differ in length. File ``part`` holds ``rows_per_file`` rows
+    (a whole number of pages) from ``part * rows_per_file``. ``data`` is
+    every file's data section back to back: the slot matrix's own bytes
+    when pages have no slack (the writer adds each last page's zero tail),
+    else the rows laid out into zeroed pages. ``hashes`` are the keys'
+    Bloom hash pairs, ``fences`` every page's index record back to back
+    (page ``p``'s starts at ``fence_starts[p]``).
+    """
+
+    def __init__(self, slots: np.ndarray, cfg: TreeConfig, rows_per_file: int) -> None:
+        n = len(slots)
+        if n == 0:
+            raise InvalidArgument("refusing to write an empty file")
+        per_page = cfg.entries_per_page
+        slot = cfg.entry_bytes
+        n_pages = -(-n // per_page)
+        self.slots = slots
+        self.cfg = cfg
+        self.rows_per_file = rows_per_file
+        self.files = -(-n // rows_per_file)
+        if per_page * slot == cfg.page_bytes:
+            data = np.ascontiguousarray(slots)
+        else:
+            data = np.zeros((n_pages, cfg.page_bytes), dtype=np.uint8)
+            # a view: splitting each page's used bytes into rows copies nothing
+            pages = data[:, : per_page * slot].reshape(n_pages, per_page, slot)
+            body = (n_pages - 1) * per_page
+            pages[:-1] = slots[:body].reshape(n_pages - 1, per_page, slot)
+            pages[-1, : n - body] = slots[body:]
+        self.data = data.reshape(-1)
+        self.lengths = lengths = _key_lengths(slots)
+        self.hashes = key_hashes(_padded_keys(slots, lengths, 16).view("<u8"), lengths)
+        self.tombstone = slots[:, ENTRY_HEADER_BYTES - 1] == TOMBSTONE
+
+        fence_len = lengths[::per_page].astype("<u2")
+        offsets = np.arange(n_pages) % (rows_per_file // per_page) * cfg.page_bytes
+        width = int(fence_len.max())
+        records = np.empty((n_pages, 10 + width), dtype=np.uint8)  # <HQ, then the key
+        records[:, :2] = fence_len.view(np.uint8).reshape(n_pages, 2)
+        records[:, 2:10] = offsets.astype("<u8").view(np.uint8).reshape(n_pages, 8)
+        records[:, 10:] = slots[::per_page, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + width]
+        record_len = fence_len.astype(np.int64) + 10
+        # boolean indexing reads row by row, so the records come out packed
+        self.fences = records[np.arange(10 + width) < record_len[:, None]]
+        self.fence_starts = np.concatenate(([0], np.cumsum(record_len)))
+
+    def key_at(self, row: int) -> bytes:
+        start = ENTRY_HEADER_BYTES
+        return self.slots[row, start : start + int(self.lengths[row])].tobytes()
 
 
 def write_file_from_slots(
     path: str,
-    slots: np.ndarray,
-    cfg: TreeConfig,
+    job: JobColumns,
+    part: int,
     file_id: int,
     level: int,
     created_tick: int,
     oldest_tombstone_tick: int | None,
 ) -> SortedFileMeta:
-    """Write one sorted file; returns its metadata. Every file is written here.
+    """Write file ``part`` of a job; returns its metadata. Every file is
+    written here, from its slice of the job's :class:`JobColumns`.
 
-    ``slots`` is an (n, entry_bytes) uint8 matrix of entries encoded by
-    :func:`encode_entry`, key-sorted and duplicate-free; keys may differ in
-    length. Pages are filled by block copy, each fence is its page's first
-    key at that key's own length, and the Bloom filter hashes every key's
-    zero-padded first 16 bytes with its length, as
-    :meth:`BloomFilter.from_keys` does. ``oldest_tombstone_tick`` is
-    recorded only when the file actually contains tombstones.
+    Each fence is its page's first key at that key's own length.
+    ``oldest_tombstone_tick`` is recorded only when the file actually
+    contains tombstones.
     """
-    n = len(slots)
-    if n == 0:
-        raise InvalidArgument("refusing to write an empty file")
-    slot = cfg.entry_bytes
-    per_page = cfg.entries_per_page
-    n_pages = -(-n // per_page)
+    cfg = job.cfg
+    start = part * job.rows_per_file
+    stop = min(start + job.rows_per_file, len(job.slots))
+    if not 0 <= start < stop:
+        raise InvalidArgument(f"job has no file {part}")
+    n = stop - start
+    page_bytes = cfg.page_bytes
+    first_page = start // cfg.entries_per_page
+    n_pages = -(-n // cfg.entries_per_page)
+    end_page = first_page + n_pages
 
-    buf = np.zeros((n_pages, cfg.page_bytes), dtype=np.uint8)
-    buf[:, : per_page * slot].reshape(-1, slot)[:n] = slots
-    data = buf.tobytes()
-
-    lengths = _key_lengths(slots)
-
-    def key_at(row: int) -> bytes:
-        return slots[row, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + int(lengths[row])].tobytes()
-
-    index = _pack_index([key_at(i) for i in range(0, n, per_page)], cfg.page_bytes)
-    words = _padded_keys(slots, lengths, 16).view("<u8")
-    filt = BloomFilter.from_key_words(words, lengths, cfg.bits_per_key).to_bytes()
-
-    tombstones = int((slots[:, ENTRY_HEADER_BYTES - 1] == TOMBSTONE).sum())
+    data = job.data[first_page * page_bytes : end_page * page_bytes]
+    tail = bytes(n_pages * page_bytes - data.nbytes)
+    fences = job.fences[job.fence_starts[first_page] : job.fence_starts[end_page]]
+    index = struct.pack("<I", n_pages) + fences.tobytes()
+    h1, h2 = job.hashes
+    filt = BloomFilter.from_key_words((h1[start:stop], h2[start:stop]), cfg.bits_per_key)
+    tombstones = int(np.count_nonzero(job.tombstone[start:stop]))
     index_off, index_len, filter_off, filter_len = _write_blocks(
-        path, data, index, filt, n, n_pages
+        path, data, tail, index, filt.to_bytes(), n, n_pages
     )
 
     return SortedFileMeta(
         file_id=file_id,
         level=level,
         path=path,
-        min_key=key_at(0),
-        max_key=key_at(n - 1),
+        min_key=job.key_at(start),
+        max_key=job.key_at(stop - 1),
         entry_count=n,
         tombstone_count=tombstones,
         data_pages=n_pages,
@@ -284,15 +373,12 @@ def write_file(
     created_tick: int,
     oldest_tombstone_tick: int | None,
 ) -> SortedFileMeta:
-    """Encode ``entries`` and write them with :func:`write_file_from_slots`."""
+    """Encode ``entries`` and write them as one file with :func:`write_file_from_slots`."""
+    slots = encode_slots(entries, cfg.entry_bytes)
+    per_page = cfg.entries_per_page
+    job = JobColumns(slots, cfg, -(-len(slots) // per_page) * per_page)
     return write_file_from_slots(
-        path,
-        encode_slots(entries, cfg.entry_bytes),
-        cfg,
-        file_id,
-        level,
-        created_tick,
-        oldest_tombstone_tick,
+        path, job, 0, file_id, level, created_tick, oldest_tombstone_tick
     )
 
 

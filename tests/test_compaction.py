@@ -11,6 +11,7 @@ from lsmclab.compaction import (
     PRESET_NAMES,
     Trigger,
     TriggerKind,
+    _merge_slots,
     evaluate_triggers,
     execute_compaction,
     get_strategy,
@@ -19,6 +20,7 @@ from lsmclab.compaction import (
     select_compaction,
 )
 from lsmclab.errors import InvalidArgument, InvariantViolation
+from lsmclab.sstable import decode_entry
 
 from conftest import key, small_config, value
 
@@ -276,6 +278,29 @@ def test_job_execution_applies_single_edit(tmp_path):
     assert not (set(job.victim_ids) & set(eng.manifest.files))
     assert set(result.output_ids) <= set(eng.manifest.files)
     assert before - set(eng.manifest.files) == set(job.victim_ids + job.target_ids)
+    eng.close()
+
+
+def test_merge_checks_inputs_come_newest_run_first(tmp_path):
+    # the merge orders versions by input position, not by seqnum
+    eng = make_engine(tmp_path, "tier")
+    eng.auto_compact = False
+    n = eng.cfg.entries_per_buffer  # one file per flush
+    for rnd in range(2):
+        for i in range(n):
+            eng.put(key(i), value(100 * rnd + i))
+    (victim,), (target,) = eng.manifest.runs_in_level(1)  # newest run first
+    merged, dropped = _merge_slots(eng, [victim, target], purge=False)
+    assert dropped == n
+    assert [decode_entry(row.tobytes(), 0)[3] for row in merged] == [
+        value(100 + i) for i in range(n)
+    ]
+    with pytest.raises(InvariantViolation):
+        _merge_slots(eng, [target, victim], purge=False)
+    # the space-amp census walks runs in manifest order and checks the same
+    eng.manifest.levels[0].reverse()
+    with pytest.raises(InvariantViolation):
+        eng.measure_space_amp()
     eng.close()
 
 

@@ -1,7 +1,16 @@
+import os
+
 import pytest
 
-from lsmclab.errors import InvariantViolation
-from lsmclab.manifest import ADD_NEW_RUN, ADD_SPLICE, Manifest, VersionEdit
+from lsmclab.errors import InvariantViolation, StorageIOError
+from lsmclab.manifest import (
+    ADD_NEW_RUN,
+    ADD_SPLICE,
+    MANIFEST_NAME,
+    Manifest,
+    VersionEdit,
+    _meta_to_json,
+)
 from lsmclab.sstable import SortedFileMeta
 
 from conftest import key
@@ -162,3 +171,55 @@ def test_lookup_runs_track_every_edit(tmp_path):
     clone.open()
     assert _view(clone) == _runs_in_probe_order(clone) == expected
     clone.close()
+
+
+def _state(m):
+    files = {fid: _meta_to_json(meta) for fid, meta in m.files.items()}
+    return m.snapshot(), files, m.next_file_id, m.next_seqnum, m.logical_tick
+
+
+def _reopen(directory):
+    m = Manifest(directory)
+    m.open()
+    return m
+
+
+def test_torn_tail_is_dropped_and_truncated(tmp_path):
+    man = _reopen(str(tmp_path))
+    man.apply(VersionEdit(adds=[(1, ADD_NEW_RUN, [meta(1, 1, 0, 9)])]))
+    man.logical_tick = 4
+    man.apply(VersionEdit(removes=[1], adds=[(2, ADD_SPLICE, [meta(2, 2, 0, 9)])]))
+    before = _state(man)
+    man.close()
+    log_path = os.path.join(tmp_path, MANIFEST_NAME)
+    with open(log_path, "rb") as fh:
+        last = fh.read().splitlines(keepends=True)[-1]
+    # a crash half way through appending the next edit
+    with open(log_path, "ab") as fh:
+        fh.write(last[: len(last) // 2])
+
+    clone = _reopen(str(tmp_path))
+    assert _state(clone) == before
+    clone.apply(VersionEdit(adds=[(1, ADD_NEW_RUN, [meta(3, 1, 20, 29)])]))
+    after = _state(clone)
+    clone.close()
+
+    again = _reopen(str(tmp_path))
+    assert _state(again) == after
+    assert again.runs_in_level(1) == [[3]]
+    again.check()
+    again.close()
+
+
+def test_torn_line_before_the_tail_raises(tmp_path):
+    man = _reopen(str(tmp_path))
+    man.apply(VersionEdit(adds=[(1, ADD_NEW_RUN, [meta(1, 1, 0, 9)])]))
+    man.apply(VersionEdit(adds=[(1, ADD_NEW_RUN, [meta(2, 1, 0, 9)])]))
+    man.close()
+    log_path = os.path.join(tmp_path, MANIFEST_NAME)
+    with open(log_path, "rb") as fh:
+        first, second = fh.read().splitlines(keepends=True)
+    with open(log_path, "wb") as fh:
+        fh.write(first[: len(first) // 2] + b"\n" + second)
+    with pytest.raises(StorageIOError):
+        _reopen(str(tmp_path))

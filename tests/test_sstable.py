@@ -3,16 +3,23 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lsmclab import LsmEngine
 from lsmclab.errors import InvalidArgument
 from lsmclab.sstable import (
     PUT,
     TOMBSTONE,
+    JobColumns,
     SstReader,
     decode_entry,
     encode_entry,
+    encode_slots,
+    key_columns,
     parse_index_block,
     scan_page_for_key,
+    slot_seqnums,
+    sort_versions,
     verify_file,
     write_file,
     write_file_from_slots,
@@ -176,7 +183,8 @@ def test_golden_file_format(tmp_path, cfg):
         b"".join(encode_entry(*e, cfg.entry_bytes) for e in GOLDEN_ENTRIES), dtype=np.uint8
     ).reshape(-1, cfg.entry_bytes)
     slot_path = os.path.join(tmp_path, "slots.sst")
-    write_file_from_slots(slot_path, slots, cfg, 1, 1, created_tick=7, oldest_tombstone_tick=5)
+    job = JobColumns(slots, cfg, cfg.entries_per_file)
+    write_file_from_slots(slot_path, job, 0, 1, 1, created_tick=7, oldest_tombstone_tick=5)
     assert file_sha256(slot_path) == GOLDEN_SHA256
     assert (meta.min_key, meta.max_key) == (b"a", b"z" * 24)
     reader = SstReader(meta, cfg)
@@ -184,3 +192,101 @@ def test_golden_file_format(tmp_path, cfg):
     assert fences == [b"a", b"abcdefgh\x00", b"k" * 17]
     assert list(reader.iter_entries()) == GOLDEN_ENTRIES
     reader.close()
+
+
+def reference_sort_versions(mats):
+    """The key order before run order replaced the seqnum sort key: key
+    words, then key length, then seqnum descending, by one lexsort."""
+    columns = [key_columns(m) for m in mats]
+    n_words = max(c[0].shape[1] for c in columns)
+    words = np.concatenate(
+        [np.pad(c[0], ((0, 0), (0, n_words - c[0].shape[1]))) for c in columns]
+    )
+    lengths = np.concatenate([c[1] for c in columns])
+    kinds = np.concatenate([c[2] for c in columns])
+    seqnums = np.concatenate([slot_seqnums(m) for m in mats])
+    order = np.lexsort([~seqnums, lengths] + [words[:, j] for j in reversed(range(n_words))])
+    words = words[order]
+    lengths = lengths[order]
+    newest = np.empty(len(order), dtype=bool)
+    newest[:1] = True
+    newest[1:] = (lengths[1:] != lengths[:-1]) | (words[1:] != words[:-1]).any(axis=1)
+    return order, newest, kinds[order]
+
+
+@st.composite
+def newest_first_runs(draw):
+    """Slot matrices of runs stacked newest first, each run cut into files.
+    Keys are unique within a run and repeat across runs; seqnums are in
+    random order within a run and every run is newer than the next."""
+    if draw(st.booleans()):
+        pool = [key(i, 6) for i in range(40)]  # one word, one length
+    else:
+        pool = list(MIXED_KEYS) + draw(
+            st.lists(st.binary(min_size=1, max_size=24), max_size=30)
+        )
+    runs = draw(
+        st.lists(st.lists(st.sampled_from(pool), min_size=1, unique=True), min_size=1, max_size=5)
+    )
+    seq = sum(len(r) for r in runs)
+    mats = []
+    for run in runs:
+        seqnums = draw(st.permutations(range(seq - len(run) + 1, seq + 1)))
+        seq -= len(run)
+        entries = sorted(
+            (k, s, kind, b"" if kind == TOMBSTONE else b"v%d" % s)
+            for k, s, kind in zip(run, seqnums, draw(
+                st.lists(st.sampled_from((PUT, TOMBSTONE)), min_size=len(run), max_size=len(run))
+            ))
+        )
+        cut = draw(st.integers(0, len(entries)))
+        mats += [encode_slots(part, 64) for part in (entries[:cut], entries[cut:]) if part]
+    return mats
+
+
+@given(mats=newest_first_runs())
+@settings(max_examples=150, deadline=None)
+def test_sort_versions_matches_seqnum_sort(mats):
+    order, newest, kinds = sort_versions([key_columns(m) for m in mats])
+    want_order, want_newest, want_kinds = reference_sort_versions(mats)
+    assert np.array_equal(newest, want_newest)
+    assert np.array_equal(kinds, want_kinds)
+    assert np.array_equal(order, want_order)
+
+
+def mixed_entries(n):
+    """n sorted entries with keys of 1-24 bytes and every fifth a tombstone."""
+    keys = sorted(set(MIXED_KEYS) | {key(i, 1 + i % 24) for i in range(n)})[:n]
+    return [
+        (k, i + 1, TOMBSTONE, b"") if i % 5 == 3 else (k, i + 1, PUT, value(i, 1 + i % 9))
+        for i, k in enumerate(keys)
+    ]
+
+
+@pytest.mark.parametrize("entry_bytes,page_bytes", [(64, 256), (100, 2048)])
+def test_job_files_match_single_file_writes(tmp_path, entry_bytes, page_bytes):
+    # three pages per file; the last file is partial and so is its last page
+    cfg = small_config(
+        entry_bytes=entry_bytes,
+        page_bytes=page_bytes,
+        buffer_bytes=4 * page_bytes,
+        file_bytes=3 * page_bytes,
+    )
+    per_file = cfg.entries_per_file
+    entries = mixed_entries(2 * per_file + cfg.entries_per_page + 3)
+    assert len({len(k) for k, _s, _kind, _v in entries}) > 10
+    eng = LsmEngine(str(tmp_path / "db"), cfg, "full", auto_compact=False)
+    metas = eng.write_sorted_slots(encode_slots(entries, cfg.entry_bytes), 2, 3)
+    assert [m.entry_count for m in metas] == [per_file, per_file, cfg.entries_per_page + 3]
+    for part, meta in enumerate(metas):
+        alone = os.path.join(tmp_path, f"alone-{part}.sst")
+        chunk = entries[part * per_file : (part + 1) * per_file]
+        want = write_file(alone, chunk, cfg, meta.file_id, 2, eng.tick, 3)
+        assert file_sha256(meta.path) == file_sha256(alone)
+        assert (meta.min_key, meta.max_key) == (chunk[0][0], chunk[-1][0])
+        assert (meta.tombstone_count, meta.data_pages) == (want.tombstone_count, want.data_pages)
+        assert (meta.index_len, meta.filter_len) == (want.index_len, want.filter_len)
+        reader = SstReader(meta, cfg)
+        assert list(reader.iter_entries()) == chunk
+        reader.close()
+    eng.close()
