@@ -20,7 +20,7 @@ from . import compaction
 from .bloom import BloomFilter, _hash_pair
 from .cache import BlockCache
 from .compaction import CompactionStrategy, get_strategy
-from .config import TreeConfig
+from .config import ENTRY_HEADER_BYTES, TreeConfig
 from .errors import InvalidArgument, InvariantViolation
 from .manifest import ADD_NEW_RUN, Manifest, VersionEdit
 from .metrics import MetricsCollector
@@ -34,9 +34,9 @@ from .sstable import (
     check_newest_first,
     decode_entry,
     encode_slots,
+    fence_keys,
     key_columns,
     load_slot_matrix,
-    parse_index_block,
     scan_page_for_key,
     slot_seqnums,
     sort_versions,
@@ -82,6 +82,7 @@ class LsmEngine:
         )
         self._wall_clock = self.metrics.latency_mode == "wall"
         self._entries_per_buffer = self.cfg.entries_per_buffer
+        self._entry_room = self.cfg.entry_bytes - ENTRY_HEADER_BYTES
         # buffer: key -> (seqnum, kind, value); newest version wins on insert
         self.buffer: dict[bytes, tuple[int, int, bytes]] = {}
         self._buffer_oldest_ts_tick: int | None = None
@@ -167,14 +168,20 @@ class LsmEngine:
             raise InvalidArgument("key must be non-empty")
         if kind == TOMBSTONE and value:
             raise InvalidArgument("tombstones carry no value")
-        self._advance_tick()
-        seqnum = self.manifest.next_seqnum
-        self.manifest.next_seqnum += 1
+        if len(key) + len(value) > self._entry_room:
+            raise InvalidArgument(
+                f"entry of {len(key) + len(value) + ENTRY_HEADER_BYTES} bytes exceeds "
+                f"the {self.cfg.entry_bytes}-byte entry slot"
+            )
+        manifest = self.manifest
+        manifest.logical_tick += 1  # _advance_tick, inlined on the write path
+        seqnum = manifest.next_seqnum
+        manifest.next_seqnum = seqnum + 1
         self.buffer[key] = (seqnum, kind, value)
         if kind == PUT:
             self.metrics.note_put(key)
         elif self._buffer_oldest_ts_tick is None:
-            self._buffer_oldest_ts_tick = self.tick
+            self._buffer_oldest_ts_tick = manifest.logical_tick
         pages_before = self.metrics.io_pages
         wall = time.perf_counter() if self._wall_clock else 0.0
         if len(self.buffer) >= self._entries_per_buffer:
@@ -246,7 +253,7 @@ class LsmEngine:
             cached = self._fences.get(meta.file_id)
             if cached is None:
                 raw = self.reader(meta.file_id).read_index_block()
-                fences = [k for k, _off in parse_index_block(raw)]
+                fences = fence_keys(raw)
                 self._fences[meta.file_id] = (fences, meta.index_len)
                 self.cache.put(key, raw)
             else:

@@ -20,6 +20,12 @@ goes to :class:`JobColumns`, which computes what the files need once per
 job, and :func:`write_file_from_slots`, the one writer, writes each file
 from its slice of those columns.
 
+Files are read through :class:`SstReader`: one raw descriptor per file,
+one ``os.pread`` per block, and :class:`StorageIOError` naming the file on
+a short read. :func:`fence_keys` decodes an index block into its fence
+keys in one pass when every fence has one length and none ends in a zero
+byte, and through :func:`parse_index_block`'s per-fence loop otherwise.
+
 :func:`sort_versions` owns the key order that the merge and the space-amp
 census sort by. Callers stack rows newest run first, and keys are unique
 within a run, so a stable sort by key alone keeps each key's newest
@@ -28,7 +34,10 @@ version first.
 
 from __future__ import annotations
 
+import functools
+import os
 import struct
+import warnings
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -153,9 +162,12 @@ def _key_lengths(slots: np.ndarray) -> np.ndarray:
 def _padded_keys(slots: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
     """Each row's key cut or zero-padded to ``width`` bytes, as (n, width) uint8."""
     keys = np.zeros((len(slots), width), dtype=np.uint8)
-    take = min(width, slots.shape[1] - ENTRY_HEADER_BYTES)
+    # with one key length, copying just the key bytes needs no length mask
+    one_length = (lengths == lengths[0]).all()
+    take = min(width, int(lengths[0]) if one_length else slots.shape[1] - ENTRY_HEADER_BYTES)
     keys[:, :take] = slots[:, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + take]
-    keys *= np.arange(width, dtype=lengths.dtype) < lengths[:, None]
+    if not one_length:
+        keys *= np.arange(width, dtype=lengths.dtype) < lengths[:, None]
     return keys
 
 
@@ -238,14 +250,11 @@ def load_slot_matrix(
     slot = cfg.entry_bytes
     if out is None:
         out = np.empty((meta.entry_count, slot), dtype=np.uint8)
-    fh = reader._file()
-    fh.seek(0)
     if per_page * slot == cfg.page_bytes:
         # no slack in a page: the rows are the data section's leading bytes
-        if fh.readinto(out) != out.nbytes:
-            raise StorageIOError(f"{meta.path}: data section cut short")
+        reader.read_into(out)
     else:
-        raw = fh.read(meta.data_pages * cfg.page_bytes)
+        raw = reader.read_block(0, meta.data_pages * cfg.page_bytes)
         pages = np.frombuffer(raw, dtype=np.uint8).reshape(meta.data_pages, cfg.page_bytes)
         out[:] = pages[:, : per_page * slot].reshape(-1, slot)[: meta.entry_count]
     return out
@@ -384,41 +393,81 @@ def write_file(
 
 @dataclass
 class SstReader:
-    """Read-side access to one sorted file. Blocks are fetched on demand."""
+    """Read-side access to one sorted file. Blocks are fetched on demand.
+
+    The reader holds one raw descriptor, opened on the first read and
+    released by :meth:`close`; its owner (the engine, for live files)
+    must close it, and a reader collected while open closes it with a
+    ``ResourceWarning``. Every block is one ``os.pread`` at its own offset:
+    no seek, and no buffered read-ahead past the block. :meth:`read_into`
+    fills an array from the file's start with ``os.preadv`` where the
+    platform has it, else with one ``os.pread`` and a copy. A read that
+    returns fewer bytes than asked raises :class:`StorageIOError` naming
+    the file.
+    """
 
     meta: SortedFileMeta
     cfg: TreeConfig
-    _fh: object = field(default=None, repr=False)
+    _fd: int = field(default=-1, repr=False)
 
-    def _file(self):
-        if self._fh is None:
+    def _descriptor(self) -> int:
+        if self._fd < 0:
             try:
-                self._fh = open(self.meta.path, "rb")
+                self._fd = os.open(self.meta.path, os.O_RDONLY)
             except OSError as exc:
                 raise StorageIOError(f"opening {self.meta.path}: {exc}") from exc
-        return self._fh
+        return self._fd
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+    def __del__(self) -> None:
+        # a raw descriptor is not closed by the garbage collector; close it
+        # here and warn, as an unclosed file object does
+        if self._fd >= 0:
+            self.close()
+            warnings.warn(f"unclosed reader of {self.meta.path}", ResourceWarning)
+
+    def _check_length(self, got: int, want: int, offset: int) -> None:
+        if got != want:
+            raise StorageIOError(
+                f"{self.meta.path}: read {got} of {want} bytes at offset {offset}; file cut short"
+            )
+
+    def read_block(self, offset: int, length: int) -> bytes:
+        """Exactly ``length`` bytes from ``offset``."""
+        try:
+            raw = os.pread(self._descriptor(), length, offset)
+        except OSError as exc:
+            raise StorageIOError(f"reading {self.meta.path}: {exc}") from exc
+        self._check_length(len(raw), length, offset)
+        return raw
+
+    def read_into(self, out: np.ndarray) -> None:
+        """Fill the C-contiguous array ``out`` from the file's first byte."""
+        if hasattr(os, "preadv"):
+            try:
+                got = os.preadv(self._descriptor(), [out], 0)
+            except OSError as exc:
+                raise StorageIOError(f"reading {self.meta.path}: {exc}") from exc
+            self._check_length(got, out.nbytes, 0)
+        else:
+            raw = self.read_block(0, out.nbytes)
+            out.reshape(-1)[:] = np.frombuffer(raw, dtype=np.uint8)
 
     def read_index_block(self) -> bytes:
-        fh = self._file()
-        fh.seek(self.meta.index_off)
-        return fh.read(self.meta.index_len)
+        return self.read_block(self.meta.index_off, self.meta.index_len)
 
     def read_filter_block(self) -> bytes:
-        fh = self._file()
-        fh.seek(self.meta.filter_off)
-        return fh.read(self.meta.filter_len)
+        return self.read_block(self.meta.filter_off, self.meta.filter_len)
 
     def read_data_page(self, page_no: int) -> bytes:
         if not 0 <= page_no < self.meta.data_pages:
             raise InvalidArgument(f"page {page_no} out of range")
-        fh = self._file()
-        fh.seek(page_no * self.cfg.page_bytes)
-        return fh.read(self.cfg.page_bytes)
+        page_bytes = self.cfg.page_bytes
+        return self.read_block(page_no * page_bytes, page_bytes)
 
     def iter_entries(self, start_page: int = 0) -> Iterator[Entry]:
         """Yield entries in key order, reading pages sequentially."""
@@ -444,6 +493,42 @@ def parse_index_block(raw: bytes) -> list[tuple[bytes, int]]:
         fences.append((raw[pos : pos + klen], offset))
         pos += klen
     return fences
+
+
+def fence_keys(raw: bytes) -> list[bytes]:
+    """The first keys of an index block's pages, as :func:`parse_index_block`
+    gives them.
+
+    When every record's length field holds one length and no fence ends in
+    a zero byte, the keys come out of a strided structured view in one
+    pass; a numpy bytes field drops trailing zeros, hence that condition.
+    Any other block takes the per-fence loop.
+    """
+    (count,) = struct.unpack_from("<I", raw, 0)
+    if count:
+        (klen,) = struct.unpack_from("<H", raw, 4)
+        if klen and len(raw) == 4 + count * (10 + klen):
+            records = np.frombuffer(raw, dtype=_fence_dtype(klen), offset=4)
+            if (
+                records["klen"].tobytes() == raw[4:6] * count
+                and np.count_nonzero(records["last"]) == count
+            ):
+                return records["key"].tolist()
+    return [k for k, _off in parse_index_block(raw)]
+
+
+@functools.lru_cache(maxsize=64)
+def _fence_dtype(klen: int) -> np.dtype:
+    """One index record with a ``klen``-byte key (``<H`` length, ``<Q``
+    offset, key), with ``last`` the key's last byte."""
+    return np.dtype(
+        {
+            "names": ["klen", "key", "last"],
+            "formats": ["<u2", f"S{klen}", "u1"],
+            "offsets": [0, 10, 9 + klen],
+            "itemsize": 10 + klen,
+        }
+    )
 
 
 def scan_page_for_key(page: bytes, key: bytes, entry_bytes: int, count: int) -> Entry | None:

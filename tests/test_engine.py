@@ -1,10 +1,12 @@
+import gc
 import heapq
 import os
+import warnings
 
 import pytest
 
 from lsmclab import LsmEngine, TreeConfig
-from lsmclab.errors import InvalidArgument
+from lsmclab.errors import InvalidArgument, StorageIOError
 from lsmclab.sstable import PUT
 
 from conftest import MIXED_KEYS, key, small_config, value
@@ -232,3 +234,106 @@ def test_removed_files_deleted_from_disk(tmp_path, cfg):
     on_disk = {n for n in os.listdir(str(tmp_path)) if n.endswith(".sst")}
     assert on_disk == live
     eng.close()
+
+
+def test_oversize_put_rejected_before_any_state_changes(tmp_path):
+    cfg = TreeConfig(buffer_bytes=2048, page_bytes=2048, entry_bytes=128)
+    eng = LsmEngine(str(tmp_path), cfg, "full", debug_checks=True)
+    oracle = {}
+    for i in range(3):
+        eng.put(key(i), value(i))
+        oracle[key(i)] = value(i)
+    before = (eng.tick, eng.manifest.next_seqnum, dict(eng.buffer))
+    with pytest.raises(InvalidArgument, match="223 bytes exceeds the 128-byte entry slot"):
+        eng.put(b"k" * 10, b"v" * 200)
+    assert (eng.tick, eng.manifest.next_seqnum, eng.buffer) == before
+    assert eng.get(b"k" * 10) is None
+    # 13 header bytes + 10 + 105 fill the slot exactly
+    eng.put(b"k" * 10, b"v" * 105)
+    oracle[b"k" * 10] = b"v" * 105
+    # the engine still flushes, reads and compacts
+    for i in range(3, 3 + 5 * cfg.entries_per_buffer):
+        eng.put(key(i), value(i))
+        oracle[key(i)] = value(i)
+    eng.quiesce()
+    assert eng.metrics.compaction_count > 0
+    assert all(eng.get(k) == v for k, v in oracle.items())
+    assert eng.range_scan(b"", b"\xff") == sorted(oracle.items())
+    eng.close()
+
+
+@pytest.mark.parametrize("cut", ["filter", "index", "data"])
+def test_truncated_file_reads_raise(tmp_path, cut):
+    cfg = small_config()
+    n = cfg.entries_per_buffer
+    eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
+    fill(eng, n, start=0, step=1)
+    fill(eng, n, start=1000, step=1)
+    assert eng.manifest.run_count(1) == 2
+    meta = eng.manifest.files[min(eng.manifest.files)]  # holds key(0) .. key(n - 1)
+    at = {
+        "filter": meta.filter_off + 3,
+        "index": meta.index_off + 3,
+        "data": cfg.page_bytes + 5,
+    }[cut]
+    with open(meta.path, "r+b") as fh:
+        fh.truncate(at)
+    name = os.path.basename(meta.path)
+    # a lookup reads the filter first, which every cut removes
+    with pytest.raises(StorageIOError, match=name):
+        eng.get(key(0))
+    # a scan reads the index, then data pages
+    if cut == "filter":
+        assert eng.range_scan(key(0), key(n)) == [(key(i), value(i)) for i in range(n)]
+    else:
+        with pytest.raises(StorageIOError, match=name):
+            eng.range_scan(key(0), key(n))
+    # a compaction reads the data section
+    if cut == "data":
+        with pytest.raises(StorageIOError, match=name):
+            eng.quiesce()
+    else:
+        eng.quiesce()
+        assert meta.file_id not in eng.manifest.files
+        assert all(eng.get(key(i)) == value(i) for i in range(n))
+    eng.close()
+
+
+def descriptors_into(directory):
+    """Where this process's open descriptors that point into ``directory`` lead."""
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(os.path.join("/proc/self/fd", fd))
+        except OSError:  # the descriptor listing the directory, closed by now
+            continue
+        if target.startswith(directory + os.sep):
+            targets.append(target)
+    return targets
+
+
+def test_no_descriptor_outlives_its_file(tmp_path):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to list descriptors")
+    cfg = small_config()
+    directory = os.path.realpath(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        eng = LsmEngine(directory, cfg, "lo1")
+        for r in range(6):
+            for i in range(3 * cfg.entries_per_buffer):
+                eng.put(key(i * 7 % 97), value(r))
+                if i % 5 == 0:
+                    eng.get(key(i % 97))  # opens readers of files later merged away
+            eng.range_scan(key(0), key(97))
+        eng.measure_space_amp()
+        assert eng.manifest.next_file_id - 1 > len(eng.manifest.files)
+        live = {m.path for m in eng.manifest.files.values()}
+        open_files = [t for t in descriptors_into(directory) if t.endswith(".sst")]
+        # a removed file shows as "<path> (deleted)", which is not a live path
+        assert open_files and set(open_files) <= live
+        eng.close()
+        assert descriptors_into(directory) == []
+        del eng
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

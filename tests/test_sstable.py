@@ -1,21 +1,27 @@
 import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsmclab import LsmEngine
-from lsmclab.errors import InvalidArgument
+from lsmclab.config import ENTRY_HEADER_BYTES
+from lsmclab.errors import InvalidArgument, StorageIOError
 from lsmclab.sstable import (
     PUT,
     TOMBSTONE,
     JobColumns,
     SstReader,
+    _key_lengths,
+    _padded_keys,
     decode_entry,
     encode_entry,
     encode_slots,
+    fence_keys,
     key_columns,
+    load_slot_matrix,
     parse_index_block,
     scan_page_for_key,
     slot_seqnums,
@@ -290,3 +296,123 @@ def test_job_files_match_single_file_writes(tmp_path, entry_bytes, page_bytes):
         assert list(reader.iter_entries()) == chunk
         reader.close()
     eng.close()
+
+
+def index_block(keys):
+    """An index block in the file format: ``<I`` count, then ``<HQ`` + key per page."""
+    return struct.pack("<I", len(keys)) + b"".join(
+        struct.pack("<HQ", len(k), 2048 * i) + k for i, k in enumerate(keys)
+    )
+
+
+@st.composite
+def fence_lists(draw):
+    """Fence keys of every shape the one-pass decode must get right or refuse."""
+    shape = draw(st.sampled_from(("mixed", "one_length", "trailing_zero", "same_size")))
+    if shape == "mixed":
+        return draw(
+            st.lists(st.sampled_from(MIXED_KEYS) | st.binary(min_size=1, max_size=24), min_size=1)
+        )
+    length = draw(st.integers(2, 12))
+    keys = draw(st.lists(st.binary(min_size=length, max_size=length), min_size=1, max_size=40))
+    if shape == "trailing_zero":
+        at = draw(st.integers(0, len(keys) - 1))
+        keys[at] = keys[at][:-1] + b"\x00"
+    elif shape == "same_size" and len(keys) >= 3:
+        # mixed lengths that add up to a one-length block's size: the first
+        # record's length alone does not tell them apart
+        i, j = draw(st.lists(st.integers(1, len(keys) - 1), min_size=2, max_size=2, unique=True))
+        keys[i], keys[j] = keys[i][:-1], keys[j] + b"x"
+    return keys
+
+
+@given(keys=fence_lists())
+@settings(max_examples=300, deadline=None)
+def test_fence_keys_match_parse_index_block(keys):
+    raw = index_block(keys)
+    assert fence_keys(raw) == [k for k, _off in parse_index_block(raw)] == keys
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [b"abcdef"],
+        [b"abcde\x00"],
+        [b"\x00"],
+        [b"ab", b"cd\x00"],
+        [b"abc", b"a", b"abcde"],
+        list(MIXED_KEYS),
+    ],
+)
+def test_fence_keys_edge_blocks(keys):
+    raw = index_block(keys)
+    assert fence_keys(raw) == [k for k, _off in parse_index_block(raw)] == keys
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_fence_keys_of_written_files(tmp_path, cfg, mixed):
+    entries = mixed_entries(40) if mixed else make_entries(40)
+    _path, meta = write_tmp(tmp_path, entries, cfg)
+    reader = SstReader(meta, cfg)
+    raw = reader.read_index_block()
+    reader.close()
+    want = [k for k, _s, _kind, _v in entries[:: cfg.entries_per_page]]
+    assert fence_keys(raw) == [k for k, _off in parse_index_block(raw)] == want
+
+
+def masked_padded_keys(slots, lengths, width):
+    """Keys padded to ``width`` through a per-byte length mask, for any lengths."""
+    keys = np.zeros((len(slots), width), dtype=np.uint8)
+    take = min(width, slots.shape[1] - ENTRY_HEADER_BYTES)
+    keys[:, :take] = slots[:, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + take]
+    keys *= np.arange(width, dtype=lengths.dtype) < lengths[:, None]
+    return keys
+
+
+@pytest.mark.parametrize("width", [8, 16, 24])
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [key(i, 6) for i in range(50)],
+        [key(i, 12) for i in range(50)],
+        [key(i, 16) for i in range(50)],
+        [key(i, 20) for i in range(50)],
+        list(MIXED_KEYS),
+        [k for k, _s, _kind, _v in mixed_entries(60)],
+    ],
+)
+def test_padded_keys_match_masked_path(keys, width):
+    # values after the key must not leak into the padding
+    slots = encode_slots([(k, i + 1, PUT, b"\xff" * 9) for i, k in enumerate(keys)], 64)
+    lengths = _key_lengths(slots)
+    assert np.array_equal(
+        _padded_keys(slots, lengths, width), masked_padded_keys(slots, lengths, width)
+    )
+
+
+@pytest.mark.parametrize("preadv", [True, False])
+@pytest.mark.parametrize("entry_bytes,page_bytes", [(64, 256), (100, 2048)])
+def test_load_slot_matrix_with_and_without_preadv(
+    tmp_path, monkeypatch, preadv, entry_bytes, page_bytes
+):
+    if not preadv:
+        monkeypatch.delattr(os, "preadv", raising=False)
+    elif not hasattr(os, "preadv"):
+        pytest.skip("os.preadv is not available here")
+    cfg = small_config(entry_bytes=entry_bytes, page_bytes=page_bytes, buffer_bytes=4 * page_bytes)
+    entries = mixed_entries(2 * cfg.entries_per_page + 3)
+    path, meta = write_tmp(tmp_path, entries, cfg)
+    want = encode_slots(entries, entry_bytes)
+    reader = SstReader(meta, cfg)
+    assert np.array_equal(load_slot_matrix(reader, cfg), want)
+    out = np.zeros((len(want) + 2, entry_bytes), dtype=np.uint8)
+    load_slot_matrix(reader, cfg, out=out[1:-1])
+    assert np.array_equal(out[1:-1], want)
+    assert not out[0].any() and not out[-1].any()
+    reader.close()
+    with open(path, "r+b") as fh:
+        fh.truncate(len(entries) * entry_bytes - 1)  # inside the rows either way
+    reader = SstReader(meta, cfg)
+    with pytest.raises(StorageIOError, match=os.path.basename(path)):
+        load_slot_matrix(reader, cfg)
+    reader.close()
