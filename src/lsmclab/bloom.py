@@ -17,6 +17,7 @@ from collections.abc import Iterable
 import numpy as np
 
 _HDR = struct.Struct("<QB")
+_WORDS = struct.Struct("<QQ")
 
 _MASK = (1 << 64) - 1
 _C1 = 0x9E3779B97F4A7C15
@@ -35,16 +36,27 @@ def false_positive_rate(bits_per_key: float) -> float:
 
 
 def _hash_pair(key: bytes) -> tuple[int, int]:
-    padded = key[:16].ljust(16, b"\x00")
-    w0 = int.from_bytes(padded[:8], "little")
-    w1 = int.from_bytes(padded[8:], "little")
+    w0, w1 = _WORDS.unpack(key[:16].ljust(16, b"\x00"))
     n = len(key)
-    h1 = ((w0 * _C1) & _MASK) ^ ((w1 * _C2) & _MASK) ^ ((n * _C3) & _MASK)
+    # the low 64 bits of a xor are the xor of the low 64 bits: mask once
+    h1 = (w0 * _C1 ^ w1 * _C2 ^ n * _C3) & _MASK
     h1 = ((h1 ^ (h1 >> 29)) * _C4) & _MASK
-    h2 = ((w0 * _C3) & _MASK) ^ ((w1 * _C4) & _MASK) ^ n
+    h2 = (w0 * _C3 ^ w1 * _C4 ^ n) & _MASK
     h2 = ((h2 ^ (h2 >> 32)) * _C1) & _MASK
     # odd stride so the probe sequence never collapses
     return h1, h2 | 1
+
+
+def probe_sequence(hashes: tuple[int, int], k: int) -> list[int]:
+    """The ``k`` values ``h1 + i * h2`` (mod 2**64) of a hash pair, each
+    the one before plus ``h2``, so a lookup can test every file's filter
+    against one list (Kirsch & Mitzenmacher double hashing)."""
+    h, step = hashes
+    probes = [h]
+    for _ in range(k - 1):
+        h = (h + step) & _MASK
+        probes.append(h)
+    return probes
 
 
 def key_hashes(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,16 +127,25 @@ class BloomFilter:
         packed = np.packbits(bitarr, bitorder="little").tobytes()
         return cls(num_bits, num_hashes, packed)
 
-    def might_contain(self, key: bytes, hashes: tuple[int, int] | None = None) -> bool:
-        """``hashes`` is ``_hash_pair(key)`` when the caller already has it."""
-        if self.num_bits == 0:
-            return True
-        h1, h2 = _hash_pair(key) if hashes is None else hashes
-        bits = self._bits
+    def might_contain(self, key: bytes, probes: list[int] | None = None) -> bool:
+        """``probes`` is the key's probe sequence, a list that one lookup
+        passes to every filter it tests: an empty or short list is filled
+        in place with ``probe_sequence(_hash_pair(key), num_hashes)``, so
+        the key is hashed once, and only its first ``num_hashes`` values
+        are tested."""
         m = self.num_bits
-        for i in range(self.num_hashes):
-            # wrap at 64 bits to mirror the vectorized build path
-            pos = ((h1 + i * h2) & _MASK) % m
+        if m == 0:
+            return True
+        k = self.num_hashes
+        if probes is None:
+            probes = []
+        if len(probes) < k:
+            probes[:] = probe_sequence(_hash_pair(key), k)
+        elif len(probes) > k:
+            probes = probes[:k]
+        bits = self._bits
+        for x in probes:
+            pos = x % m
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
         return True

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compaction
-from .bloom import BloomFilter, _hash_pair
+from .bloom import BloomFilter
 from .cache import BlockCache
 from .compaction import CompactionStrategy, get_strategy
 from .config import ENTRY_HEADER_BYTES, TreeConfig
@@ -37,6 +37,7 @@ from .sstable import (
     fence_keys,
     key_columns,
     load_slot_matrix,
+    page_lower_bound,
     scan_page_for_key,
     slot_seqnums,
     sort_versions,
@@ -91,7 +92,7 @@ class LsmEngine:
         # parsed filter/index objects; the block cache models the I/O cost,
         # this memo only avoids re-deserialization
         self._filters: dict[int, BloomFilter] = {}
-        self._fences: dict[int, tuple[list[bytes], int]] = {}
+        self._fences: dict[int, list[bytes]] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -224,52 +225,44 @@ class LsmEngine:
     def _pages_of(self, nbytes: int) -> int:
         return max(1, math.ceil(nbytes / self.cfg.page_bytes))
 
-    def _filter_for(self, meta: SortedFileMeta) -> tuple[BloomFilter, int]:
-        """Returns (filter, io_pages_charged)."""
-        key = (meta.file_id, "filter", 0)
-        pages = 0
-        if self.cache.get(key) is None:
-            pages = self._pages_of(meta.filter_len)
-            self.metrics.add_io_pages(pages)
-            filt = self._filters.get(meta.file_id)
-            if filt is None:
-                raw = self.reader(meta.file_id).read_filter_block()
-                filt = BloomFilter.from_bytes(raw)
-                self._filters[meta.file_id] = filt
-                self.cache.put(key, raw)
-            else:
-                self.cache.put(key, b"\x00" * meta.filter_len)
+    def _load_filter(self, meta: SortedFileMeta) -> BloomFilter:
+        """A filter cache miss: read the block (or re-charge the memo), then
+        charge its pages, so a failed read charges nothing."""
+        filt = self._filters.get(meta.file_id)
+        if filt is None:
+            raw = self.reader(meta.file_id).read_filter_block()
+            filt = BloomFilter.from_bytes(raw)
+            self._filters[meta.file_id] = filt
         else:
-            filt = self._filters[meta.file_id]
-        return filt, pages
+            raw = b"\x00" * meta.filter_len
+        self.cache.put((meta.file_id, "filter", 0), raw)
+        self.metrics.add_io_pages(self._pages_of(meta.filter_len))
+        return filt
 
     def _fences_for(self, meta: SortedFileMeta) -> tuple[list[bytes], int]:
         """Returns (fence first-keys, io_pages_charged)."""
         key = (meta.file_id, "index", 0)
-        pages = 0
-        if self.cache.get(key) is None:
-            pages = self._pages_of(meta.index_len)
-            self.metrics.add_io_pages(pages)
-            cached = self._fences.get(meta.file_id)
-            if cached is None:
-                raw = self.reader(meta.file_id).read_index_block()
-                fences = fence_keys(raw)
-                self._fences[meta.file_id] = (fences, meta.index_len)
-                self.cache.put(key, raw)
-            else:
-                self.cache.put(key, b"\x00" * meta.index_len)
-        fences = self._fences[meta.file_id][0]
+        if self.cache.get(key) is not None:
+            return self._fences[meta.file_id], 0
+        fences = self._fences.get(meta.file_id)
+        if fences is None:
+            raw = self.reader(meta.file_id).read_index_block()
+            fences = self._fences[meta.file_id] = fence_keys(raw)
+        else:
+            raw = b"\x00" * meta.index_len
+        self.cache.put(key, raw)
+        pages = self._pages_of(meta.index_len)
+        self.metrics.add_io_pages(pages)
         return fences, pages
 
-    def _data_page(self, meta: SortedFileMeta, page_no: int) -> tuple[bytes, int]:
+    def _data_page(self, meta: SortedFileMeta, page_no: int) -> bytes:
         key = (meta.file_id, "data", page_no)
         page = self.cache.get(key)
-        if page is not None:
-            return page, 0
-        page = self.reader(meta.file_id).read_data_page(page_no)
-        self.metrics.add_io_pages(1)
-        self.cache.put(key, page)
-        return page, 1
+        if page is None:
+            page = self.reader(meta.file_id).read_data_page(page_no)
+            self.metrics.add_io_pages(1)
+            self.cache.put(key, page)
+        return page
 
     # -- point lookups ------------------------------------------------------
 
@@ -279,24 +272,14 @@ class LsmEngine:
             return per_page
         return meta.entry_count - (meta.data_pages - 1) * per_page
 
-    def _file_probe(
-        self, meta: SortedFileMeta, key: bytes, hashes: tuple[int, int], result: LookupResult
-    ) -> Entry | None:
-        if key < meta.min_key or key > meta.max_key:
-            return None
-        filt, filter_pages = self._filter_for(meta)
-        result.filter_probes += 1
-        if filter_pages:
-            result.filter_blocks_read += 1
-        if not filt.might_contain(key, hashes):
-            return None
+    def _probe_page(self, meta: SortedFileMeta, key: bytes, result: LookupResult) -> Entry | None:
+        """The index and data page of a file whose filter passed ``key``,
+        with ``meta.min_key <= key``."""
         fences, index_pages = self._fences_for(meta)
         if index_pages:
             result.index_blocks_read += 1
         page_no = bisect_right(fences, key) - 1
-        if page_no < 0:
-            return None
-        page, _ = self._data_page(meta, page_no)
+        page = self._data_page(meta, page_no)
         result.data_pages_read += 1
         meta.last_access_tick = self.tick
         return scan_page_for_key(
@@ -309,7 +292,13 @@ class LsmEngine:
         if meta is None:
             raise InvariantViolation(f"file_get on dead file {file_id}")
         before = self.metrics.io_pages
-        entry = self._file_probe(meta, key, _hash_pair(key), LookupResult(None))
+        entry = None
+        if meta.min_key <= key <= meta.max_key:
+            filt = self._filters.get(meta.file_id)
+            if self.cache.get((meta.file_id, "filter", 0)) is None:
+                filt = self._load_filter(meta)
+            if filt.might_contain(key):
+                entry = self._probe_page(meta, key, LookupResult(None))
         return entry, self.metrics.io_pages - before
 
     def point_lookup(self, key: bytes) -> LookupResult:
@@ -328,12 +317,28 @@ class LsmEngine:
             self._finish_lookup(result, pages_before, wall)
             return result
 
-        hashes = _hash_pair(key)
+        # per run: one bisect, one max_key compare, one filter cache touch
+        # and one filter test; the first filter tested fills the key's one
+        # probe sequence, which every later filter reuses
+        probes: list[int] = []
+        cache_get = self.cache.get
+        filters = self._filters
         for min_keys, metas in self.manifest.lookup_runs():
             idx = bisect_right(min_keys, key) - 1
             if idx < 0:
                 continue
-            entry = self._file_probe(metas[idx], key, hashes, result)
+            meta = metas[idx]
+            if key > meta.max_key:
+                continue
+            result.filter_probes += 1
+            if cache_get((meta.file_id, "filter", 0)) is None:
+                filt = self._load_filter(meta)
+                result.filter_blocks_read += 1
+            else:
+                filt = filters[meta.file_id]
+            if not filt.might_contain(key, probes):
+                continue
+            entry = self._probe_page(meta, key, result)
             if entry is not None:
                 if entry[2] == PUT:
                     result.value = entry[3]
@@ -371,19 +376,15 @@ class LsmEngine:
             fences, _ = self._fences_for(meta)
             first_page = max(bisect_right(fences, low) - 1, 0)
             for page_no in range(first_page, meta.data_pages):
-                page, _ = self._data_page(meta, page_no)
+                page = self._data_page(meta, page_no)
                 count = self._page_entry_count(meta, page_no)
-                done = False
-                for i in range(count):
+                # only the first page can hold keys below low
+                first = page_lower_bound(page, low, slot, count) if page_no == first_page else 0
+                for i in range(first, count):
                     entry = decode_entry(page, i * slot)
-                    if entry[0] < low:
-                        continue
                     if entry[0] >= high:
-                        done = True
-                        break
+                        return
                     yield entry
-                if done:
-                    return
 
     def range_scan(self, low: bytes, high: bytes) -> list[tuple[bytes, bytes]]:
         """Live entries with low <= key < high, ascending, newest version."""

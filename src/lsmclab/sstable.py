@@ -58,6 +58,7 @@ Entry = tuple[bytes, int, int, bytes]
 
 _ENTRY_HDR = struct.Struct("<HHQB")
 assert _ENTRY_HDR.size == ENTRY_HEADER_BYTES
+_KEY_LEN = struct.Struct("<H")  # the key length that opens each slot header
 # index_off, index_len, filter_off, filter_len, entry_count, data_pages,
 # crc32, version, magic
 _FOOTER = struct.Struct("<QQQQIIII8s")
@@ -531,17 +532,32 @@ def _fence_dtype(klen: int) -> np.dtype:
     )
 
 
+def page_lower_bound(page: bytes, key: bytes, entry_bytes: int, count: int) -> int:
+    """The first of a page's ``count`` sorted slots whose key is >= ``key``
+    (``count`` if none is), by binary search on each slot's key length."""
+    klen_at = _KEY_LEN.unpack_from
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        start = mid * entry_bytes + ENTRY_HEADER_BYTES
+        if page[start : start + klen_at(page, mid * entry_bytes)[0]] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def scan_page_for_key(page: bytes, key: bytes, entry_bytes: int, count: int) -> Entry | None:
-    """Linear probe of one data page holding ``count`` valid slots."""
-    for i in range(count):
-        off = i * entry_bytes
-        klen, vlen, seqnum, kind = _ENTRY_HDR.unpack_from(page, off)
+    """The entry of ``key`` on one data page holding ``count`` valid slots,
+    found by :func:`page_lower_bound`; the full slot header is unpacked only
+    on a match."""
+    off = page_lower_bound(page, key, entry_bytes, count) * entry_bytes
+    if off < count * entry_bytes:
         start = off + ENTRY_HEADER_BYTES
-        k = page[start : start + klen]
+        k = page[start : start + _KEY_LEN.unpack_from(page, off)[0]]
         if k == key:
+            klen, vlen, seqnum, kind = _ENTRY_HDR.unpack_from(page, off)
             return k, seqnum, kind, page[start + klen : start + klen + vlen]
-        if k > key:
-            return None
     return None
 
 

@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lsmclab.bloom import BloomFilter, _hash_pair, false_positive_rate
+from lsmclab.bloom import (
+    BloomFilter,
+    _hash_pair,
+    _pack_keys,
+    false_positive_rate,
+    key_hashes,
+    probe_sequence,
+)
 
 from conftest import key
 
@@ -9,9 +17,10 @@ def test_no_false_negatives():
     keys = [key(i) for i in range(0, 2000, 2)]
     filt = BloomFilter.from_keys(keys, 10.0)
     assert all(filt.might_contain(k) for k in keys)
-    # a hash pair the caller computed once gives the same answers
+    # a probe sequence the caller computed once gives the same answers
     probes = [key(i) for i in range(2000)]
-    assert [filt.might_contain(k, _hash_pair(k)) for k in probes] == [
+    sequences = [probe_sequence(_hash_pair(k), filt.num_hashes) for k in probes]
+    assert [filt.might_contain(k, seq) for k, seq in zip(probes, sequences)] == [
         filt.might_contain(k) for k in probes
     ]
 
@@ -62,3 +71,53 @@ def test_size_scales_with_bits_per_key():
     small = BloomFilter.from_keys(keys, 4.0)
     large = BloomFilter.from_keys(keys, 16.0)
     assert large.size_bytes > small.size_bytes
+
+
+MASK = 2**64 - 1
+# hash values spread over 64 bits and crowded near 2**64, where the adds wrap
+hash_values = st.integers(0, MASK) | st.integers(MASK - 2**20, MASK)
+
+
+@given(h1=hash_values, h2=hash_values, k=st.integers(1, 24))
+@settings(max_examples=300, deadline=None)
+def test_probe_sequence_is_double_hashing(h1, h2, k):
+    assert probe_sequence((h1, h2), k) == [(h1 + i * h2) & MASK for i in range(k)]
+
+
+def reference_contains(filt, key):
+    """The filter test written out: k positions (h1 + i*h2) mod 2**64 mod m."""
+    if filt.num_bits == 0:
+        return True
+    bits = filt.to_bytes()[9:]
+    h1, h2 = _hash_pair(key)
+    for i in range(filt.num_hashes):
+        pos = ((h1 + i * h2) & MASK) % filt.num_bits
+        if not bits[pos >> 3] >> (pos & 7) & 1:
+            return False
+    return True
+
+
+@given(
+    keys=st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=60, unique=True),
+    others=st.lists(st.binary(min_size=1, max_size=24), max_size=60),
+    bits_per_key=st.sampled_from([1.0, 2.0, 4.0, 10.0, 20.0]),
+    k=st.integers(1, 16),
+)
+@settings(max_examples=200, deadline=None)
+def test_probe_sequence_agrees_with_hash_pair_path(keys, others, bits_per_key, k):
+    filt = BloomFilter.from_keys(keys, bits_per_key)
+    h1, h2 = key_hashes(*_pack_keys(keys + others))
+    assert [_hash_pair(probe) for probe in keys + others] == list(zip(h1.tolist(), h2.tolist()))
+    for probe in keys + others:
+        expected = reference_contains(filt, probe)
+        assert filt.might_contain(probe) == expected
+        # an empty list is filled in place; a sequence of another length is
+        # extended in place if short, never truncated, and a long one is
+        # tested on its first k values
+        empty = []
+        assert filt.might_contain(probe, empty) == expected
+        assert empty == probe_sequence(_hash_pair(probe), filt.num_hashes)
+        seq = probe_sequence(_hash_pair(probe), k)
+        assert filt.might_contain(probe, seq) == expected
+        assert seq == probe_sequence(_hash_pair(probe), max(k, filt.num_hashes))
+    assert all(filt.might_contain(probe) for probe in keys)

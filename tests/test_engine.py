@@ -1,11 +1,13 @@
 import gc
 import heapq
 import os
+import random
 import warnings
 
 import pytest
 
 from lsmclab import LsmEngine, TreeConfig
+from lsmclab.bloom import BloomFilter
 from lsmclab.errors import InvalidArgument, StorageIOError
 from lsmclab.sstable import PUT
 
@@ -279,9 +281,16 @@ def test_truncated_file_reads_raise(tmp_path, cut):
     with open(meta.path, "r+b") as fh:
         fh.truncate(at)
     name = os.path.basename(meta.path)
-    # a lookup reads the filter first, which every cut removes
-    with pytest.raises(StorageIOError, match=name):
-        eng.get(key(0))
+    # a lookup reads the filter first, which every cut removes; a failed
+    # read charges no pages and records no lookup, though its cache miss
+    # was real
+    io_pages, lookups = eng.metrics.io_pages, eng.metrics.point_lookups
+    filter_misses = eng.cache.misses["filter"]
+    for _ in range(3):
+        with pytest.raises(StorageIOError, match=name):
+            eng.get(key(0))
+    assert (eng.metrics.io_pages, eng.metrics.point_lookups) == (io_pages, lookups)
+    assert eng.cache.misses["filter"] == filter_misses + 3
     # a scan reads the index, then data pages
     if cut == "filter":
         assert eng.range_scan(key(0), key(n)) == [(key(i), value(i)) for i in range(n)]
@@ -297,6 +306,126 @@ def test_truncated_file_reads_raise(tmp_path, cut):
         assert meta.file_id not in eng.manifest.files
         assert all(eng.get(key(i)) == value(i) for i in range(n))
     eng.close()
+
+
+def test_filters_of_another_bits_per_key_have_no_false_negatives(tmp_path):
+    """A lookup hashes its key into one probe sequence that every filter
+    it tests shares; files written with bits_per_key 4 (k = 3) and 20
+    (k = 14) each still see their own k values."""
+    directory = str(tmp_path)
+    few, many = small_config(bits_per_key=4.0), small_config(bits_per_key=20.0)
+    n = few.entries_per_buffer
+    oracle = {}
+
+    def write_and_check(cfg, phase):
+        # each phase writes its own keys across the whole key range, so one
+        # lookup tests filters of both k
+        with LsmEngine(directory, cfg, "tier", auto_compact=False) as eng:
+            for i in range(4 * n + n // 2):
+                k = key(4 * i + phase)
+                eng.put(k, value(i))
+                oracle[k] = value(i)
+            eng.flush_buffer()
+            ks = {
+                BloomFilter.from_bytes(eng.reader(fid).read_filter_block()).num_hashes
+                for fid in eng.manifest.files
+            }
+            assert all(eng.get(k) == v for k, v in oracle.items())
+            assert all(eng.get(key(4 * i + 3)) is None for i in range(4 * n))
+        return ks
+
+    assert write_and_check(few, 0) == {3}
+    assert write_and_check(many, 1) == {3, 14}
+    assert write_and_check(few, 2) == {3, 14}
+    with LsmEngine(directory, many, "tier") as eng:
+        eng.quiesce()
+        assert all(eng.get(k) == v for k, v in oracle.items())
+
+
+# The lookup accounting of lookup_accounting's workload, whose block cache
+# is far smaller than the tree, as the per-file probe loop gave it before
+# the lookup hashed once and binary-searched pages: summed LookupResult
+# counters (filter_probes, filter_blocks_read, index_blocks_read,
+# data_pages_read), io_pages, cache hits and misses per kind, and the
+# sorted last_access_tick of the live files, by which the cold preset picks.
+PINNED_ACCOUNTING = {
+    "tier": {
+        "counters": (3515, 1784, 1614, 2944),
+        "io_pages": 9645,
+        "hits": {"data": 569, "index": 1460, "filter": 1731},
+        "misses": {"data": 3294, "index": 1958, "filter": 1784},
+        "ticks": [
+            2740, 2758, 2760, 2808, 2809, 2861, 2877, 2878, 2897, 2899, 2905, 2910,
+            2918, 2952, 2956, 2958, 2963, 2968, 2973, 2977, 2980, 2980, 2980, 2980,
+            2987, 2989, 2990, 2990, 2990, 2996, 2997, 2997, 2997, 2997, 2997,
+        ],
+    },
+    "cold": {
+        "counters": (1936, 1357, 1206, 1653),
+        "io_pages": 10782,
+        "hits": {"data": 232, "index": 499, "filter": 579},
+        "misses": {"data": 2144, "index": 1509, "filter": 1357},
+        "ticks": [
+            1102, 1980, 2364, 2376, 2412, 2564, 2641, 2701, 2709, 2721, 2721, 2755,
+            2784, 2799, 2809, 2861, 2879, 2883, 2891, 2904, 2904, 2910, 2918, 2937,
+            2937, 2942, 2958, 2963, 2963, 2968, 2968, 2968, 2968, 2973, 2977, 2980,
+            2987, 2989, 2990, 2991, 2991, 2991, 2991, 2991, 2991, 2991, 2996, 2997,
+        ],
+    },
+}
+
+
+def lookup_accounting(directory, preset):
+    """3,000 seeded puts, deletes, lookups and scans, each read checked
+    against a dict; returns the accounting that PINNED_ACCOUNTING pins."""
+    cfg = small_config(block_cache_bytes=2048)
+    rng = random.Random(11)
+    oracle = {}
+    counters = [0, 0, 0, 0]
+    with LsmEngine(directory, cfg, preset) as eng:
+        for i in range(3000):
+            r = rng.random()
+            if r < 0.45:
+                k = key(rng.randrange(400))
+                eng.put(k, value(i))
+                oracle[k] = value(i)
+            elif r < 0.5:
+                k = key(rng.randrange(400))
+                eng.delete(k)
+                oracle.pop(k, None)
+            elif r < 0.97:
+                k = key(rng.randrange(480))
+                res = eng.point_lookup(k)
+                assert res.value == oracle.get(k)
+                for j, n in enumerate(
+                    (
+                        res.filter_probes,
+                        res.filter_blocks_read,
+                        res.index_blocks_read,
+                        res.data_pages_read,
+                    )
+                ):
+                    counters[j] += n
+            else:
+                low = rng.randrange(400)
+                high = low + rng.randrange(1, 40)
+                got = eng.range_scan(key(low), key(high))
+                assert got == sorted(
+                    (k, v) for k, v in oracle.items() if key(low) <= k < key(high)
+                )
+        assert eng.cache.resident_bytes <= cfg.block_cache_bytes
+        return {
+            "counters": tuple(counters),
+            "io_pages": eng.metrics.io_pages,
+            "hits": dict(eng.cache.hits),
+            "misses": dict(eng.cache.misses),
+            "ticks": sorted(m.last_access_tick for m in eng.manifest.files.values()),
+        }
+
+
+@pytest.mark.parametrize("preset", ["tier", "cold"])
+def test_lookup_accounting_pinned(tmp_path, preset):
+    assert lookup_accounting(str(tmp_path), preset) == PINNED_ACCOUNTING[preset]
 
 
 def descriptors_into(directory):

@@ -22,6 +22,7 @@ from lsmclab.sstable import (
     fence_keys,
     key_columns,
     load_slot_matrix,
+    page_lower_bound,
     parse_index_block,
     scan_page_for_key,
     slot_seqnums,
@@ -110,6 +111,79 @@ def test_scan_page_for_key(tmp_path, cfg):
     # key between two residents: early exit, not found
     assert scan_page_for_key(page, key(3), cfg.entry_bytes, 4) is None
     reader.close()
+
+
+def linear_scan_page(page, key, entry_bytes, count):
+    """The slot-by-slot page walk that the binary search replaced."""
+    for i in range(count):
+        entry = decode_entry(page, i * entry_bytes)
+        if entry[0] == key:
+            return entry
+        if entry[0] > key:
+            return None
+    return None
+
+
+def linear_lower_bound(page, key, entry_bytes, count):
+    return next(
+        (i for i in range(count) if decode_entry(page, i * entry_bytes)[0] >= key), count
+    )
+
+
+@st.composite
+def pages_and_probes(draw):
+    """A data page of ``count`` sorted keys of 1-24 bytes, ``count`` no more
+    than the page's slots and the rest zero, as a file's last page is; and
+    probe keys below, between, equal to and above the stored keys."""
+    keys = sorted(
+        draw(
+            st.lists(
+                st.sampled_from(MIXED_KEYS) | st.binary(min_size=1, max_size=24),
+                min_size=1,
+                max_size=16,
+                unique=True,
+            )
+        )
+    )
+    slots = draw(st.integers(len(keys), 16))
+    entry_bytes = 64
+    entries = [
+        (k, i + 1, TOMBSTONE, b"") if i % 3 == 2 else (k, i + 1, PUT, b"v%d" % i)
+        for i, k in enumerate(keys)
+    ]
+    page = b"".join(encode_entry(*e, entry_bytes) for e in entries)
+    page = page.ljust(slots * entry_bytes, b"\x00")
+    near = [k + b"\x00" for k in keys] + [k[:-1] for k in keys] + [k + b"\xff" for k in keys]
+    probes = (
+        keys
+        + near
+        + [b"\x00", b"\xff" * 25]
+        + draw(st.lists(st.sampled_from(MIXED_KEYS) | st.binary(max_size=25), max_size=8))
+    )
+    return page, entry_bytes, len(keys), probes
+
+
+@given(case=pages_and_probes())
+@settings(max_examples=300, deadline=None)
+def test_page_search_matches_linear_walk(case):
+    page, entry_bytes, count, probes = case
+    for probe in probes:
+        assert scan_page_for_key(page, probe, entry_bytes, count) == linear_scan_page(
+            page, probe, entry_bytes, count
+        )
+        assert page_lower_bound(page, probe, entry_bytes, count) == linear_lower_bound(
+            page, probe, entry_bytes, count
+        )
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_page_search_short_pages(count):
+    keys = [b"a", b"a\x00", b"ab"][:count]
+    page = b"".join(encode_entry(k, 1, PUT, b"x", 64) for k in keys).ljust(4 * 64, b"\x00")
+    for probe in [b"\x00", b"a", b"a\x00", b"a\x00\x00", b"ab", b"b"]:
+        args = (page, probe, 64, count)
+        assert scan_page_for_key(*args) == linear_scan_page(*args)
+        assert page_lower_bound(*args) == linear_lower_bound(*args)
 
 
 def test_entry_slot_overflow():
