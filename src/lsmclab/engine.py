@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import re
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .bloom import BloomFilter
 from .cache import BlockCache
 from .compaction import CompactionStrategy, get_strategy
 from .config import ENTRY_HEADER_BYTES, TreeConfig
-from .errors import InvalidArgument, InvariantViolation
+from .errors import InvalidArgument, InvariantViolation, StorageIOError
 from .manifest import ADD_NEW_RUN, Manifest, VersionEdit
 from .metrics import MetricsCollector
 from .sstable import (
@@ -43,6 +44,8 @@ from .sstable import (
     sort_versions,
     write_file_from_slots,
 )
+
+_FILE_NAME = re.compile(r"[0-9]{8}\.sst")  # a sorted file's name: its id, 8 digits
 
 
 @dataclass
@@ -77,6 +80,12 @@ class LsmEngine:
         self.directory = directory
         self.manifest = Manifest(directory)
         self.manifest.open()
+        # unlink what no live file names: spares of an engine that was not
+        # closed, and outputs of a job cut off before its manifest edit
+        live = {os.path.basename(m.path) for m in self.manifest.files.values()}
+        for name in os.listdir(directory):
+            if _FILE_NAME.fullmatch(name) and name not in live:
+                os.remove(os.path.join(directory, name))
         self.cache = BlockCache(self.cfg.block_cache_bytes)
         self.metrics = MetricsCollector(
             entry_bytes=self.cfg.entry_bytes, latency_mode=latency_mode
@@ -93,10 +102,15 @@ class LsmEngine:
         # this memo only avoids re-deserialization
         self._filters: dict[int, BloomFilter] = {}
         self._fences: dict[int, list[bytes]] = {}
+        # paths of retired files, most recent last: each becomes the storage
+        # of a later file by a rename and an overwrite, not an unlink and a
+        # create
+        self._spares: list[str] = []
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
+        self._release_spares(0)
         for reader in self._readers.values():
             reader.close()
         self._readers.clear()
@@ -140,25 +154,35 @@ class LsmEngine:
             file_id = self.manifest.next_file_id
             self.manifest.next_file_id += 1
             path = os.path.join(self.directory, f"{file_id:08d}.sst")
+            if self._spares:
+                spare = self._spares.pop()
+                try:
+                    os.rename(spare, path)
+                except OSError as exc:
+                    raise StorageIOError(f"recycling {spare} as {path}: {exc}") from exc
             metas.append(
                 write_file_from_slots(path, job, part, file_id, level, self.tick, oldest_ts_tick)
             )
         return metas
 
     def forget_files(self, file_ids: list[int]) -> None:
-        """Drop caches and readers for files removed from the manifest."""
+        """Drop caches and readers for files removed from the manifest and
+        keep the files as spares, at most one per live file."""
         for fid in file_ids:
             reader = self._readers.pop(fid, None)
             if reader is not None:
-                path = reader.meta.path
                 reader.close()
-            else:
-                path = os.path.join(self.directory, f"{fid:08d}.sst")
             self.cache.drop_file(fid)
             self._filters.pop(fid, None)
             self._fences.pop(fid, None)
+            self._spares.append(os.path.join(self.directory, f"{fid:08d}.sst"))
+        self._release_spares(len(self.manifest.files))
+
+    def _release_spares(self, keep: int) -> None:
+        """Unlink spares, oldest first, until at most ``keep`` remain."""
+        while len(self._spares) > keep:
             try:
-                os.remove(path)
+                os.remove(self._spares.pop(0))
             except OSError:
                 pass
 
@@ -215,10 +239,13 @@ class LsmEngine:
         return [m.file_id for m in metas]
 
     def quiesce(self) -> int:
-        """Flush any buffered writes and drain all compaction triggers."""
+        """Flush any buffered writes, drain all compaction triggers and
+        unlink the spares, so the directory holds only live files."""
         if self.buffer:
             self.flush_buffer()
-        return compaction.run_until_quiescent(self)
+        jobs = compaction.run_until_quiescent(self)
+        self._release_spares(0)
+        return jobs
 
     # -- block access with I/O accounting -----------------------------------
 

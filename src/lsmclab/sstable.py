@@ -120,7 +120,8 @@ def _write_blocks(
     n_pages: int,
 ) -> tuple[int, int, int, int]:
     """Write the data section (``data`` then the zero ``tail`` that fills its
-    last page), the index and filter blocks and the footer."""
+    last page), the index and filter blocks and the footer with one
+    ``os.writev``, into a new file or over a longer spare's bytes."""
     index_off = data.nbytes + len(tail)
     filter_off = index_off + len(index)
     crc = zlib.crc32(data)
@@ -138,13 +139,18 @@ def _write_blocks(
         FORMAT_VERSION,
         MAGIC,
     )
+    total = filter_off + len(filt) + FOOTER_BYTES
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-            fh.write(tail)
-            fh.write(index)
-            fh.write(filt)
-            fh.write(footer)
+        # no O_TRUNC, which frees every block: a recycled spare is
+        # overwritten in place, then cut to this file's length
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
+        try:
+            written = os.writev(fd, [data, tail, index, filt, footer])
+            if written != total:
+                raise StorageIOError(f"{path}: wrote {written} of {total} bytes; file cut short")
+            os.ftruncate(fd, total)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise StorageIOError(f"writing {path}: {exc}") from exc
     return index_off, len(index), filter_off, len(filt)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +6,7 @@ from lsmclab.bloom import (
     BloomFilter,
     _hash_pair,
     _pack_keys,
+    _positions,
     false_positive_rate,
     key_hashes,
     probe_sequence,
@@ -82,6 +84,24 @@ hash_values = st.integers(0, MASK) | st.integers(MASK - 2**20, MASK)
 @settings(max_examples=300, deadline=None)
 def test_probe_sequence_is_double_hashing(h1, h2, k):
     assert probe_sequence((h1, h2), k) == [(h1 + i * h2) & MASK for i in range(k)]
+
+
+@given(
+    pairs=st.lists(st.tuples(hash_values, hash_values), min_size=1, max_size=40),
+    num_hashes=st.integers(1, 12),
+    num_bits=st.integers(64, 2**20),
+)
+@settings(max_examples=300, deadline=None)
+def test_positions_match_modulo(pairs, num_hashes, num_bits):
+    h1 = np.array([a for a, _b in pairs], dtype=np.uint64)
+    h2 = np.array([b for _a, b in pairs], dtype=np.uint64)
+    got = _positions(h1, h2, num_hashes, num_bits)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [
+        [((a + i * b) & MASK) % num_bits for a, b in pairs] for i in range(num_hashes)
+    ]
+    steps = np.arange(num_hashes, dtype=np.uint64)[:, None]
+    assert (got == (h1 + steps * h2) % np.uint64(num_bits)).all()
 
 
 def reference_contains(filt, key):

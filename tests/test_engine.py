@@ -2,6 +2,7 @@ import gc
 import heapq
 import os
 import random
+import shutil
 import warnings
 
 import pytest
@@ -236,6 +237,103 @@ def test_removed_files_deleted_from_disk(tmp_path, cfg):
     on_disk = {n for n in os.listdir(str(tmp_path)) if n.endswith(".sst")}
     assert on_disk == live
     eng.close()
+
+
+def sst_names(directory):
+    return {name for name in os.listdir(directory) if name.endswith(".sst")}
+
+
+def live_names(eng):
+    return {os.path.basename(m.path) for m in eng.manifest.files.values()}
+
+
+@pytest.mark.parametrize("preset", ["lo1", "tier"])
+def test_retired_files_are_spares_until_quiesce_and_close(tmp_path, cfg, preset):
+    directory = str(tmp_path)
+    eng = LsmEngine(directory, cfg, preset, debug_checks=True)
+    # new keys, then overwrites of the first buffer's keys, which under
+    # tiering retire more files than stay live
+    for i in range(14 * cfg.entries_per_buffer):
+        if i < 6 * cfg.entries_per_buffer:
+            eng.put(key(i * 2), value(i))
+        else:
+            eng.put(key(i % cfg.entries_per_buffer * 2), value(i))
+        spares = {os.path.basename(p) for p in eng._spares}
+        assert not spares & live_names(eng)
+        assert len(eng._spares) == len(spares) <= len(eng.manifest.files)
+        assert sst_names(directory) == live_names(eng) | spares
+    assert eng._spares
+    # the next file written is the most recent spare, renamed and overwritten
+    inode = os.stat(eng._spares[-1]).st_ino
+    eng.auto_compact = False
+    eng.put(key(1), value(1))
+    (fid,) = eng.flush_buffer()
+    assert os.stat(eng.manifest.files[fid].path).st_ino == inode
+    assert eng.get(key(1)) == value(1)
+    eng.auto_compact = True
+    eng.quiesce()
+    assert not eng._spares
+    assert sst_names(directory) == live_names(eng)
+    fill(eng, 6 * cfg.entries_per_buffer, start=3)
+    assert eng._spares
+    eng.close()
+    assert sst_names(directory) == live_names(eng)
+
+
+def test_short_write_raises_and_leaves_manifest_unchanged(tmp_path, cfg, monkeypatch):
+    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
+    fill(eng, 6 * cfg.entries_per_buffer)
+    assert eng._spares and not eng.buffer
+    log = tmp_path / "MANIFEST.log"
+
+    def manifest_state():
+        levels = [[list(run) for run in level] for level in eng.manifest.levels]
+        return log.read_bytes(), sorted(eng.manifest.files), levels
+
+    before = manifest_state()
+    real_writev = os.writev
+    # every write leaves off the footer
+    monkeypatch.setattr(os, "writev", lambda fd, buffers: real_writev(fd, buffers[:-1]))
+    failed = f"{eng.manifest.next_file_id:08d}.sst"
+    with pytest.raises(StorageIOError, match=failed):
+        fill(eng, cfg.entries_per_buffer, start=1)  # the last put flushes
+    assert manifest_state() == before
+    monkeypatch.undo()
+    # the buffer kept the writes: they flush once writes succeed again
+    eng.quiesce()
+    oracle = {key(i * 2): value(i) for i in range(6 * cfg.entries_per_buffer)}
+    oracle.update((key(1 + i * 2), value(i)) for i in range(cfg.entries_per_buffer))
+    assert all(eng.get(k) == v for k, v in oracle.items())
+    eng.close()
+    # the failed file is named by no edit: reopening collects it
+    assert failed in sst_names(str(tmp_path))
+    clone = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
+    assert sst_names(str(tmp_path)) == live_names(clone)
+    assert all(clone.get(k) == v for k, v in oracle.items())
+    clone.close()
+
+
+def test_reopen_collects_orphaned_sorted_files(tmp_path, cfg):
+    eng = LsmEngine(str(tmp_path / "db"), cfg, "lo1")
+    oracle = {}
+    for i in range(8 * cfg.entries_per_buffer):  # the last put flushes
+        eng.put(key(i * 7 % 97), value(i))
+        oracle[key(i * 7 % 97)] = value(i)
+    spares = {os.path.basename(p) for p in eng._spares}
+    assert spares and not eng.buffer and eng.manifest.next_file_id < 999
+    # the directory as a process that died here would leave it
+    crashed = tmp_path / "crashed"
+    shutil.copytree(tmp_path / "db", crashed)
+    eng.close()
+    for name in ("00000999.sst", "x.sst", "notes.txt"):
+        (crashed / name).write_bytes(b"not a sorted file")
+    clone = LsmEngine(str(crashed), cfg, "lo1", debug_checks=True)
+    names = set(os.listdir(crashed))
+    assert not names & spares and "00000999.sst" not in names
+    assert {"x.sst", "notes.txt"} <= names
+    assert sst_names(str(crashed)) == live_names(clone) | {"x.sst"}
+    assert all(clone.get(k) == v for k, v in oracle.items())
+    clone.close()
 
 
 def test_oversize_put_rejected_before_any_state_changes(tmp_path):

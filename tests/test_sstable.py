@@ -10,6 +10,7 @@ from lsmclab import LsmEngine
 from lsmclab.config import ENTRY_HEADER_BYTES
 from lsmclab.errors import InvalidArgument, StorageIOError
 from lsmclab.sstable import (
+    FOOTER_BYTES,
     PUT,
     TOMBSTONE,
     JobColumns,
@@ -370,6 +371,24 @@ def test_job_files_match_single_file_writes(tmp_path, entry_bytes, page_bytes):
         assert list(reader.iter_entries()) == chunk
         reader.close()
     eng.close()
+
+
+def test_write_over_longer_spare_matches_fresh_write(tmp_path, cfg):
+    # a file written into a longer spare keeps none of the spare's tail
+    spare, _big = write_tmp(tmp_path, make_entries(3 * cfg.entries_per_file), cfg, file_id=1)
+    spare_size = os.path.getsize(spare)
+    path = os.path.join(tmp_path, "00000002.sst")
+    os.rename(spare, path)
+    entries = make_entries(cfg.entries_per_page + 1, start=1)
+    meta = write_file(path, entries, cfg, 2, 1, created_tick=7, oldest_tombstone_tick=None)
+    _fresh, want = write_tmp(tmp_path, entries, cfg, file_id=3)
+    assert os.path.getsize(path) == meta.filter_off + meta.filter_len + FOOTER_BYTES
+    assert os.path.getsize(path) < spare_size
+    assert verify_file(path)
+    assert file_sha256(path) == file_sha256(want.path)
+    reader = SstReader(meta, cfg)
+    assert list(reader.iter_entries()) == entries
+    reader.close()
 
 
 def index_block(keys):
