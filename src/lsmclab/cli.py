@@ -103,13 +103,18 @@ def _tree_config(cfg: configparser.ConfigParser) -> TreeConfig:
                 kwargs[key] = cast(section[key])
             except ValueError as exc:
                 raise ConfigError(f"engine.{key}: {exc}") from exc
-    for key in section:
-        if key not in keys:
-            raise ConfigError(f"unknown engine option {key!r}")
+    _check_keys(cfg, "engine", tuple(keys))
     try:
         return TreeConfig(**kwargs)
     except InvalidArgument as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_keys(cfg: configparser.ConfigParser, name: str, known: tuple[str, ...]) -> None:
+    if cfg.has_section(name):
+        for key in cfg[name]:
+            if key not in known:
+                raise ConfigError(f"unknown {name} option {key!r}")
 
 
 def _distribution(text: str) -> Distribution:
@@ -161,9 +166,7 @@ def _workload_spec(
     for key in ("insert_dist", "lookup_dist"):
         if key in section:
             kwargs[key] = _distribution(section[key])
-    for key in section:
-        if key not in casts and key not in ("insert_dist", "lookup_dist", "file"):
-            raise ConfigError(f"unknown workload option {key!r}")
+    _check_keys(cfg, "workload", (*casts, "insert_dist", "lookup_dist", "file"))
     if seed is not None:
         kwargs["seed"] = seed
     kwargs.setdefault("entry_bytes", tree.entry_bytes)
@@ -221,6 +224,7 @@ def _explicit_strategy(section) -> CompactionStrategy:
 
 def _strategies(cfg: configparser.ConfigParser, override: str | None) -> list[CompactionStrategy]:
     if override is None and cfg.has_section("strategy"):
+        _check_keys(cfg, "strategy", ("name", "triggers", "layout", "granularity", "movement"))
         return [_explicit_strategy(cfg["strategy"])]
     names = override
     if names is None:
@@ -320,8 +324,8 @@ def cmd_run(args) -> int:
     cfg = _read_config(args.config)
     tree = _tree_config(cfg)
     out = _out_dir(args)
+    _check_keys(cfg, "run", ("repetitions", "seed", "strategy"))
     repetitions = cfg.getint("run", "repetitions", fallback=1)
-    wall_clock = args.wall_clock or cfg.getboolean("run", "wall_clock", fallback=False)
     strategies = _strategies(cfg, args.strategy)
     base_seed = args.seed
     if base_seed is None:
@@ -335,12 +339,7 @@ def cmd_run(args) -> int:
             seed = base_seed + rep
             ops, digest, spec = _workload_ops(cfg, tree, seed)
             with tempfile.TemporaryDirectory(prefix="lsmclab-", dir=out) as workdir:
-                engine = LsmEngine(
-                    workdir,
-                    tree,
-                    strategy,
-                    latency_mode="wall" if wall_clock else "pages",
-                )
+                engine = LsmEngine(workdir, tree, strategy)
                 try:
                     counts = _replay(engine, ops)
                     report = engine.report()
@@ -481,11 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--strategy",
         help=f"comma-separated preset names ({', '.join(PRESET_NAMES)})",
-    )
-    p_run.add_argument(
-        "--wall-clock",
-        action="store_true",
-        help="record wall-clock latencies instead of page-I/O units",
     )
     p_run.set_defaults(func=cmd_run)
 

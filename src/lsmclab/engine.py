@@ -11,7 +11,6 @@ import heapq
 import math
 import os
 import re
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ from .sstable import (
     check_newest_first,
     decode_entry,
     encode_slots,
-    fence_keys,
     key_columns,
     load_slot_matrix,
     page_lower_bound,
@@ -69,7 +67,6 @@ class LsmEngine:
         strategy: CompactionStrategy | str = "full",
         auto_compact: bool = True,
         debug_checks: bool = False,
-        latency_mode: str = "pages",
     ) -> None:
         self.cfg = cfg or TreeConfig()
         if isinstance(strategy, str):
@@ -87,10 +84,7 @@ class LsmEngine:
             if _FILE_NAME.fullmatch(name) and name not in live:
                 os.remove(os.path.join(directory, name))
         self.cache = BlockCache(self.cfg.block_cache_bytes)
-        self.metrics = MetricsCollector(
-            entry_bytes=self.cfg.entry_bytes, latency_mode=latency_mode
-        )
-        self._wall_clock = self.metrics.latency_mode == "wall"
+        self.metrics = MetricsCollector(entry_bytes=self.cfg.entry_bytes)
         self._entries_per_buffer = self.cfg.entries_per_buffer
         self._entry_room = self.cfg.entry_bytes - ENTRY_HEADER_BYTES
         # buffer: key -> (seqnum, kind, value); newest version wins on insert
@@ -98,10 +92,6 @@ class LsmEngine:
         self._buffer_oldest_ts_tick: int | None = None
         self.rr_cursors: dict[int, bytes] = {}
         self._readers: dict[int, SstReader] = {}
-        # parsed filter/index objects; the block cache models the I/O cost,
-        # this memo only avoids re-deserialization
-        self._filters: dict[int, BloomFilter] = {}
-        self._fences: dict[int, list[bytes]] = {}
         # paths of retired files, most recent last: each becomes the storage
         # of a later file by a rename and an overwrite, not an unlink and a
         # create
@@ -145,24 +135,33 @@ class LsmEngine:
         self, slots, level: int, oldest_ts_tick: int | None
     ) -> list[SortedFileMeta]:
         """Write a job's whole sorted output as files of ``entries_per_file``
-        rows; the columns they are written from are computed once."""
+        rows; the columns they are written from are computed once. A failed
+        write keeps the job's files on disk as spares."""
         if not len(slots):
             return []
         job = JobColumns(slots, self.cfg, self.cfg.entries_per_file)
         metas = []
-        for part in range(job.files):
-            file_id = self.manifest.next_file_id
-            self.manifest.next_file_id += 1
-            path = os.path.join(self.directory, f"{file_id:08d}.sst")
-            if self._spares:
-                spare = self._spares.pop()
-                try:
-                    os.rename(spare, path)
-                except OSError as exc:
-                    raise StorageIOError(f"recycling {spare} as {path}: {exc}") from exc
-            metas.append(
-                write_file_from_slots(path, job, part, file_id, level, self.tick, oldest_ts_tick)
-            )
+        try:
+            for part in range(job.files):
+                file_id = self.manifest.next_file_id
+                self.manifest.next_file_id += 1
+                path = os.path.join(self.directory, f"{file_id:08d}.sst")
+                if self._spares:
+                    spare = self._spares[-1]
+                    try:
+                        os.rename(spare, path)
+                    except OSError as exc:
+                        raise StorageIOError(f"recycling {spare} as {path}: {exc}") from exc
+                    self._spares.pop()
+                meta = write_file_from_slots(
+                    path, job, part, file_id, level, self.tick, oldest_ts_tick
+                )
+                metas.append(meta)
+        except BaseException:
+            self._spares += [m.path for m in metas]
+            if os.path.exists(path):
+                self._spares.append(path)
+            raise
         return metas
 
     def forget_files(self, file_ids: list[int]) -> None:
@@ -173,8 +172,6 @@ class LsmEngine:
             if reader is not None:
                 reader.close()
             self.cache.drop_file(fid)
-            self._filters.pop(fid, None)
-            self._fences.pop(fid, None)
             self._spares.append(os.path.join(self.directory, f"{fid:08d}.sst"))
         self._release_spares(len(self.manifest.files))
 
@@ -208,10 +205,9 @@ class LsmEngine:
         elif self._buffer_oldest_ts_tick is None:
             self._buffer_oldest_ts_tick = manifest.logical_tick
         pages_before = self.metrics.io_pages
-        wall = time.perf_counter() if self._wall_clock else 0.0
         if len(self.buffer) >= self._entries_per_buffer:
             self.flush_buffer()
-        self._record_latency("write", pages_before, wall)
+        self.metrics.add_latency("write", self.metrics.io_pages - pages_before)
         return seqnum
 
     def delete(self, key: bytes) -> int:
@@ -253,31 +249,21 @@ class LsmEngine:
         return max(1, math.ceil(nbytes / self.cfg.page_bytes))
 
     def _load_filter(self, meta: SortedFileMeta) -> BloomFilter:
-        """A filter cache miss: read the block (or re-charge the memo), then
-        charge its pages, so a failed read charges nothing."""
-        filt = self._filters.get(meta.file_id)
-        if filt is None:
-            raw = self.reader(meta.file_id).read_filter_block()
-            filt = BloomFilter.from_bytes(raw)
-            self._filters[meta.file_id] = filt
-        else:
-            raw = b"\x00" * meta.filter_len
-        self.cache.put((meta.file_id, "filter", 0), raw)
+        """A filter cache miss: cache the reader's filter (parsed on its first
+        use), then charge its pages, so a failed read charges nothing."""
+        filt = self.reader(meta.file_id).bloom_filter
+        self.cache.put((meta.file_id, "filter", 0), filt, meta.filter_len)
         self.metrics.add_io_pages(self._pages_of(meta.filter_len))
         return filt
 
     def _fences_for(self, meta: SortedFileMeta) -> tuple[list[bytes], int]:
         """Returns (fence first-keys, io_pages_charged)."""
         key = (meta.file_id, "index", 0)
-        if self.cache.get(key) is not None:
-            return self._fences[meta.file_id], 0
-        fences = self._fences.get(meta.file_id)
-        if fences is None:
-            raw = self.reader(meta.file_id).read_index_block()
-            fences = self._fences[meta.file_id] = fence_keys(raw)
-        else:
-            raw = b"\x00" * meta.index_len
-        self.cache.put(key, raw)
+        fences = self.cache.get(key)
+        if fences is not None:
+            return fences, 0
+        fences = self.reader(meta.file_id).fence_keys
+        self.cache.put(key, fences, meta.index_len)
         pages = self._pages_of(meta.index_len)
         self.metrics.add_io_pages(pages)
         return fences, pages
@@ -288,7 +274,7 @@ class LsmEngine:
         if page is None:
             page = self.reader(meta.file_id).read_data_page(page_no)
             self.metrics.add_io_pages(1)
-            self.cache.put(key, page)
+            self.cache.put(key, page, len(page))
         return page
 
     # -- point lookups ------------------------------------------------------
@@ -321,8 +307,8 @@ class LsmEngine:
         before = self.metrics.io_pages
         entry = None
         if meta.min_key <= key <= meta.max_key:
-            filt = self._filters.get(meta.file_id)
-            if self.cache.get((meta.file_id, "filter", 0)) is None:
+            filt = self.cache.get((meta.file_id, "filter", 0))
+            if filt is None:
                 filt = self._load_filter(meta)
             if filt.might_contain(key):
                 entry = self._probe_page(meta, key, LookupResult(None))
@@ -333,7 +319,6 @@ class LsmEngine:
             raise InvalidArgument("key must be non-empty")
         self._advance_tick()
         pages_before = self.metrics.io_pages
-        wall = time.perf_counter() if self._wall_clock else 0.0
         result = LookupResult(None)
 
         buffered = self.buffer.get(key)
@@ -341,7 +326,7 @@ class LsmEngine:
             _seq, kind, value = buffered
             if kind == PUT:
                 result.value = value
-            self._finish_lookup(result, pages_before, wall)
+            self._finish_lookup(result, pages_before)
             return result
 
         # per run: one bisect, one max_key compare, one filter cache touch
@@ -349,7 +334,6 @@ class LsmEngine:
         # probe sequence, which every later filter reuses
         probes: list[int] = []
         cache_get = self.cache.get
-        filters = self._filters
         for min_keys, metas in self.manifest.lookup_runs():
             idx = bisect_right(min_keys, key) - 1
             if idx < 0:
@@ -358,11 +342,10 @@ class LsmEngine:
             if key > meta.max_key:
                 continue
             result.filter_probes += 1
-            if cache_get((meta.file_id, "filter", 0)) is None:
+            filt = cache_get((meta.file_id, "filter", 0))
+            if filt is None:
                 filt = self._load_filter(meta)
                 result.filter_blocks_read += 1
-            else:
-                filt = filters[meta.file_id]
             if not filt.might_contain(key, probes):
                 continue
             entry = self._probe_page(meta, key, result)
@@ -370,22 +353,16 @@ class LsmEngine:
                 if entry[2] == PUT:
                     result.value = entry[3]
                 break
-        self._finish_lookup(result, pages_before, wall)
+        self._finish_lookup(result, pages_before)
         return result
 
-    def _finish_lookup(self, result: LookupResult, pages_before: int, wall: float) -> None:
+    def _finish_lookup(self, result: LookupResult, pages_before: int) -> None:
         pages = self.metrics.io_pages - pages_before
         self.metrics.record_point_lookup(pages, result.found)
-        self._record_latency("point", pages_before, wall)
+        self.metrics.add_latency("point", pages)
 
     def get(self, key: bytes) -> bytes | None:
         return self.point_lookup(key).value
-
-    def _record_latency(self, hist: str, pages_before: int, wall_start: float) -> None:
-        if self._wall_clock:
-            self.metrics.add_latency(hist, (time.perf_counter() - wall_start) * 1e6)
-        else:
-            self.metrics.add_latency(hist, self.metrics.io_pages - pages_before)
 
     # -- range scans --------------------------------------------------------
 
@@ -419,7 +396,6 @@ class LsmEngine:
             raise InvalidArgument("range scan needs low <= high")
         self._advance_tick()
         pages_before = self.metrics.io_pages
-        wall = time.perf_counter() if self._wall_clock else 0.0
 
         buffered = (
             (key, seq, kind, value)
@@ -439,7 +415,7 @@ class LsmEngine:
             prev_key = key
             if kind == PUT:
                 out.append((key, value))
-        self._record_latency("range", pages_before, wall)
+        self.metrics.add_latency("range", self.metrics.io_pages - pages_before)
         return out
 
     # -- census -------------------------------------------------------------

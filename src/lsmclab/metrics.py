@@ -1,8 +1,7 @@
 """Event-driven measurement of amplification, latency, and delete metrics.
 
-Latency is measured in page-I/O units by default (pages touched per
-operation) so results are deterministic and CI-stable; wall-clock
-microseconds are available behind ``latency_mode="wall"``.
+Latency is measured in page-I/O units (pages touched per operation) so
+results are deterministic and CI-stable.
 """
 
 from __future__ import annotations
@@ -105,7 +104,6 @@ class MetricsCollector:
     """Single-consumer sink for engine events."""
 
     entry_bytes: int
-    latency_mode: str = "pages"
 
     compaction_count: int = 0
     pseudo_compaction_count: int = 0

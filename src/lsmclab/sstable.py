@@ -416,6 +416,8 @@ class SstReader:
     meta: SortedFileMeta
     cfg: TreeConfig
     _fd: int = field(default=-1, repr=False)
+    _filter: BloomFilter | None = field(default=None, repr=False)
+    _fence_keys: list[bytes] | None = field(default=None, repr=False)
 
     def _descriptor(self) -> int:
         if self._fd < 0:
@@ -469,6 +471,18 @@ class SstReader:
 
     def read_filter_block(self) -> bytes:
         return self.read_block(self.meta.filter_off, self.meta.filter_len)
+
+    @property
+    def bloom_filter(self) -> BloomFilter:
+        if self._filter is None:
+            self._filter = BloomFilter.from_bytes(self.read_filter_block())
+        return self._filter
+
+    @property
+    def fence_keys(self) -> list[bytes]:
+        if self._fence_keys is None:
+            self._fence_keys = fence_keys(self.read_index_block())
+        return self._fence_keys
 
     def read_data_page(self, page_no: int) -> bytes:
         if not 0 <= page_no < self.meta.data_pages:

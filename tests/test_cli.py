@@ -107,6 +107,17 @@ def test_unknown_option_exits_2(tmp_path):
     assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, option",
+    [("[run]\nwall_clock = true\n", "wall_clock"), ("[strategy]\nmovment = lo1\n", "movment")],
+    ids=["run", "strategy"],
+)
+def test_unknown_run_or_strategy_option_exits_2(tmp_path, capsys, section, option):
+    cfg = write_config(tmp_path, SMALL + "\n" + section)
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert repr(option) in capsys.readouterr().err
+
+
 def test_explicit_strategy_section(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -1,5 +1,6 @@
 import gc
 import heapq
+from collections import Counter
 import os
 import random
 import shutil
@@ -10,7 +11,7 @@ import pytest
 from lsmclab import LsmEngine, TreeConfig
 from lsmclab.bloom import BloomFilter
 from lsmclab.errors import InvalidArgument, StorageIOError
-from lsmclab.sstable import PUT
+from lsmclab.sstable import PUT, SstReader
 
 from conftest import MIXED_KEYS, key, small_config, value
 
@@ -126,6 +127,111 @@ def test_lookup_result_counters(tmp_path):
     miss = eng.point_lookup(key(1))
     assert not miss.found
     assert miss.data_pages_read <= miss.filter_probes
+    eng.close()
+
+
+def test_cache_holds_the_readers_parsed_blocks(tmp_path, cfg):
+    """A cached filter or fence list is the very object its file's reader
+    parsed, and every block is charged its length on disk."""
+    eng = LsmEngine(str(tmp_path), cfg, "lo1")
+    fill(eng, 4 * cfg.entries_per_buffer)
+    eng.quiesce()
+    for i in range(0, 8 * cfg.entries_per_buffer, 3):
+        assert eng.get(key(i)) == (value(i // 2) if i % 2 == 0 else None)
+    blocks = dict(eng.cache._blocks)
+    assert {kind for _fid, kind, _n in blocks} == {"filter", "index", "data"}
+    charged = 0
+    for (fid, kind, _n), block in blocks.items():
+        meta, reader = eng.manifest.files[fid], eng._readers[fid]
+        if kind == "filter":
+            assert block is reader.bloom_filter
+            charged += meta.filter_len
+        elif kind == "index":
+            assert block is reader.fence_keys
+            charged += meta.index_len
+        else:
+            assert len(block) == cfg.page_bytes
+            charged += cfg.page_bytes
+    assert eng.cache.resident_bytes == charged
+    eng.close()
+
+
+def count_meta_reads(monkeypatch):
+    """Count each file's filter and index block reads, by file id."""
+    reads = {"filter": Counter(), "index": Counter()}
+
+    def counted(kind, real):
+        def read(self):
+            reads[kind][self.meta.file_id] += 1
+            return real(self)
+
+        return read
+
+    for kind in reads:
+        name = f"read_{kind}_block"
+        monkeypatch.setattr(SstReader, name, counted(kind, getattr(SstReader, name)))
+    return reads
+
+
+def test_cold_cache_reads_each_meta_block_once_per_file(tmp_path, monkeypatch):
+    """With no block cache every block access misses and is charged, but a
+    file's filter and index block are read and parsed once."""
+    cfg = small_config(block_cache_bytes=0)
+    reads = count_meta_reads(monkeypatch)
+    rng = random.Random(5)
+    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
+    oracle = {}
+    probes = 0
+    for i in range(3000):
+        k = key(rng.randrange(300))
+        if rng.random() < 0.25:
+            eng.put(k, value(i))
+            oracle[k] = value(i)
+            continue
+        before = eng.metrics.io_pages
+        res = eng.point_lookup(k)
+        assert res.value == oracle.get(k)
+        # every filter probed was a miss; each miss is charged one page,
+        # since this geometry's meta blocks fit a page
+        assert res.filter_blocks_read == res.filter_probes
+        pages = res.filter_blocks_read + res.index_blocks_read + res.data_pages_read
+        assert eng.metrics.io_pages - before == pages
+        probes += res.filter_probes
+    metas = eng.manifest.files.values()
+    assert all(max(m.filter_len, m.index_len) <= cfg.page_bytes for m in metas)
+    assert eng.cache.misses["filter"] == probes and not any(eng.cache.hits.values())
+    assert eng.metrics.compaction_count > 10
+    assert len(reads["filter"]) > 20 and len(reads["index"]) > 20
+    assert set(reads["filter"].values()) == set(reads["index"].values()) == {1}
+    eng.close()
+
+
+def test_failed_filter_read_caches_and_charges_nothing(tmp_path, cfg, monkeypatch):
+    eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
+    fill(eng, cfg.entries_per_buffer, step=1)
+    (meta,) = eng.manifest.files.values()
+
+    def failing(self):
+        raise StorageIOError("injected")
+
+    monkeypatch.setattr(SstReader, "read_filter_block", failing)
+    io_pages = eng.metrics.io_pages
+    with pytest.raises(StorageIOError, match="injected"):
+        eng.get(key(0))
+    assert eng.metrics.io_pages == io_pages
+    assert eng.cache.resident_bytes == 0 and not eng.cache._blocks
+    assert eng.reader(meta.file_id)._filter is None
+    monkeypatch.undo()
+    reads = count_meta_reads(monkeypatch)
+    res = eng.point_lookup(key(0))
+    assert (res.value, res.filter_blocks_read, res.data_pages_read) == (value(0), 1, 1)
+    assert reads["filter"] == {meta.file_id: 1}
+    charged = eng._pages_of(meta.filter_len) + eng._pages_of(meta.index_len) + 1
+    assert eng.metrics.io_pages == io_pages + charged
+    # the filter is cached now: the next lookup neither reads nor charges it
+    assert eng.point_lookup(key(1)).filter_blocks_read == 0
+    assert reads["filter"] == {meta.file_id: 1}
+    assert eng.cache.resident_bytes == meta.filter_len + meta.index_len + cfg.page_bytes
     eng.close()
 
 
@@ -305,12 +411,62 @@ def test_short_write_raises_and_leaves_manifest_unchanged(tmp_path, cfg, monkeyp
     oracle.update((key(1 + i * 2), value(i)) for i in range(cfg.entries_per_buffer))
     assert all(eng.get(k) == v for k, v in oracle.items())
     eng.close()
-    # the failed file is named by no edit: reopening collects it
-    assert failed in sst_names(str(tmp_path))
+    # the failed file was kept as a spare, which close() unlinked
+    assert sst_names(str(tmp_path)) == live_names(eng)
     clone = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
     assert sst_names(str(tmp_path)) == live_names(clone)
     assert all(clone.get(k) == v for k, v in oracle.items())
     clone.close()
+
+
+def test_failed_spare_rename_keeps_the_spare(tmp_path, cfg, monkeypatch):
+    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
+    fill(eng, 6 * cfg.entries_per_buffer)
+    spares = list(eng._spares)
+    assert spares and not eng.buffer
+
+    def failing(src, dst):
+        raise OSError(5, "injected")
+
+    monkeypatch.setattr(os, "rename", failing)
+    with pytest.raises(StorageIOError, match="recycling"):
+        fill(eng, cfg.entries_per_buffer, start=1)  # the last put flushes
+    assert eng._spares == spares
+    monkeypatch.undo()
+    eng.quiesce()
+    assert sst_names(str(tmp_path)) == live_names(eng)
+    eng.close()
+    assert sst_names(str(tmp_path)) == live_names(eng)
+
+
+def test_failed_job_leaves_no_file_behind(tmp_path, cfg, monkeypatch):
+    """A write that fails at the k-th file, in a flush or inside a
+    many-file compaction, leaves on disk only live files and spares."""
+    directory = str(tmp_path)
+    eng = LsmEngine(directory, cfg, "full", debug_checks=True)
+    real_writev = os.writev
+    oracle = {}
+    for k in range(1, 9):
+        calls = [0]
+
+        def writev(fd, buffers):
+            calls[0] += 1
+            return real_writev(fd, buffers[:-1] if calls[0] == k else buffers)
+
+        monkeypatch.setattr(os, "writev", writev)
+        with pytest.raises(StorageIOError):
+            for i in range(40 * cfg.entries_per_buffer):
+                # a put whose flush or compaction fails is still applied
+                oracle[key(i * 7 % 997)] = value(k)
+                eng.put(key(i * 7 % 997), value(k))
+        monkeypatch.undo()
+        spares = {os.path.basename(p) for p in eng._spares}
+        assert sst_names(directory) == live_names(eng) | spares
+        eng.quiesce()
+        assert sst_names(directory) == live_names(eng)
+        assert all(eng.get(kk) == v for kk, v in oracle.items())
+    eng.close()
+    assert sst_names(directory) == live_names(eng)
 
 
 def test_reopen_collects_orphaned_sorted_files(tmp_path, cfg):
@@ -544,6 +700,7 @@ def test_no_descriptor_outlives_its_file(tmp_path):
         pytest.skip("no /proc/self/fd to list descriptors")
     cfg = small_config()
     directory = os.path.realpath(tmp_path)
+    gc.collect()  # readers leaked by earlier tests warn now, not below
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         eng = LsmEngine(directory, cfg, "lo1")
