@@ -432,6 +432,7 @@ def cmd_compare(args) -> int:
 def cmd_model(args) -> int:
     cfg = _read_config(args.config)
     tree = _tree_config(cfg)
+    _check_keys(cfg, "model", ("n", "selectivity", "lambda", "ingest_rate"))
     section = cfg["model"] if cfg.has_section("model") else {}
     params = ModelParams(
         n_entries=int(section.get("n", args.n)),

@@ -36,6 +36,14 @@ class TriggerKind(Enum):
     TOMBSTONE_DENSITY = "tombstone_density"
 
 
+# Triggers that fire on individual files; their jobs pick only among those files.
+_FILE_SCOPED = (
+    TriggerKind.TOMBSTONE_TTL,
+    TriggerKind.TOMBSTONE_DENSITY,
+    TriggerKind.FILE_STALENESS,
+)
+
+
 @dataclass(frozen=True)
 class Trigger:
     kind: TriggerKind
@@ -45,9 +53,11 @@ class Trigger:
 
     def __post_init__(self) -> None:
         v = self.value
-        if v is None:
-            return
         k = self.kind
+        if v is None:
+            if k is TriggerKind.FILE_STALENESS:
+                raise InvalidArgument("file staleness needs a ttl")
+            return
         if k is TriggerKind.LEVEL_SATURATION and not 0 < v <= 2:
             raise InvalidArgument("saturation threshold must be in (0, 2]")
         if k is TriggerKind.SORTED_RUN_COUNT and v < 2:
@@ -301,6 +311,42 @@ def _sa_actionable_level(manifest) -> int | None:
     return None
 
 
+def _expired(
+    engine, metas: list[SortedFileMeta], level_no: int, d_th: float | None
+) -> list[SortedFileMeta]:
+    """The files among ``metas`` whose oldest tombstone outlived the level's
+    TTL deadline; ``d_th`` None means the engine's delete persistence
+    threshold, and no file expires when that is unset too."""
+    if d_th is None:
+        d_th = engine.cfg.delete_persistence_threshold
+    if d_th is None:
+        return []
+    man = engine.manifest
+    deadline = _ttl_deadline(level_no, d_th, max(man.deepest_nonempty_level(), 1))
+    now = man.logical_tick
+    return [
+        m
+        for m in metas
+        if m.oldest_tombstone_tick is not None and now - m.oldest_tombstone_tick > deadline
+    ]
+
+
+def _nominees(engine, level_no: int, trigger: Trigger) -> list[SortedFileMeta]:
+    """The files of one level that satisfy a file-scoped trigger: the
+    trigger fires on the level when there are any, and its job picks only
+    among them."""
+    man = engine.manifest
+    metas = _level_metas(man, level_no)
+    kind = trigger.kind
+    if kind is TriggerKind.TOMBSTONE_TTL:
+        return _expired(engine, metas, level_no, trigger.value)
+    if kind is TriggerKind.FILE_STALENESS:
+        now = man.logical_tick
+        return [m for m in metas if now - m.created_tick > trigger.value]
+    frac = trigger.value if trigger.value is not None else 0.2
+    return [m for m in metas if m.entry_count and m.tombstone_count / m.entry_count >= frac]
+
+
 def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
     """All currently-firing (level, trigger) pairs.
 
@@ -310,7 +356,6 @@ def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
     man = engine.manifest
     cfg = engine.cfg
     deepest = man.deepest_nonempty_level()
-    now = man.logical_tick
     fired: list[tuple[int, Trigger]] = []
 
     for trig in strategy.triggers:
@@ -325,8 +370,8 @@ def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
             runs = man.runs_in_level(level_no)
             if not runs:
                 continue
-            tiered = strategy.layout.is_tiered(level_no, deepest)
             if kind is TriggerKind.LEVEL_SATURATION:
+                tiered = strategy.layout.is_tiered(level_no, deepest)
                 threshold = trig.value if trig.value is not None else 1.0
                 level_bytes = man.entries_in_level(level_no) * cfg.entry_bytes
                 over = level_bytes > threshold * cfg.level_capacity_bytes(level_no)
@@ -345,40 +390,8 @@ def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
                 k = trig.value if trig.value is not None else cfg.size_ratio
                 if len(runs) >= k:
                     fired.append((level_no, trig))
-            elif kind is TriggerKind.TOMBSTONE_TTL:
-                d_th = trig.value
-                if d_th is None:
-                    d_th = cfg.delete_persistence_threshold
-                if d_th is None:
-                    continue
-                deadline = _ttl_deadline(level_no, d_th, max(deepest, 1))
-                for run in runs:
-                    if any(
-                        (m := man.files[fid]).oldest_tombstone_tick is not None
-                        and now - m.oldest_tombstone_tick > deadline
-                        for fid in run
-                    ):
-                        fired.append((level_no, trig))
-                        break
-            elif kind is TriggerKind.FILE_STALENESS:
-                ttl = trig.value
-                if ttl is None:
-                    continue
-                if any(
-                    now - man.files[fid].created_tick > ttl
-                    for run in runs
-                    for fid in run
-                ):
-                    fired.append((level_no, trig))
-            elif kind is TriggerKind.TOMBSTONE_DENSITY:
-                frac = trig.value if trig.value is not None else 0.2
-                if any(
-                    (m := man.files[fid]).entry_count
-                    and m.tombstone_count / m.entry_count >= frac
-                    for run in runs
-                    for fid in run
-                ):
-                    fired.append((level_no, trig))
+            elif _nominees(engine, level_no, trig):  # a file-scoped kind
+                fired.append((level_no, trig))
     return fired
 
 
@@ -386,15 +399,19 @@ def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
 # Victim selection
 
 
+def _overlapping(engine, low: bytes, high: bytes, level_no: int) -> list[SortedFileMeta]:
+    """The files of one level that overlap the closed key range [low, high]."""
+    files = engine.manifest.files
+    return [
+        meta
+        for run in engine.manifest.runs_in_level(level_no)
+        for fid in run
+        if (meta := files[fid]).overlaps(low, high)
+    ]
+
+
 def _overlap_bytes(engine, min_key: bytes, max_key: bytes, level_no: int) -> int:
-    man = engine.manifest
-    total = 0
-    for run in man.runs_in_level(level_no):
-        for fid in run:
-            meta = man.files[fid]
-            if meta.overlaps(min_key, max_key):
-                total += meta.data_bytes(engine.cfg)
-    return total
+    return sum(m.data_bytes(engine.cfg) for m in _overlapping(engine, min_key, max_key, level_no))
 
 
 def _rank_candidates(
@@ -477,20 +494,8 @@ def _rank_candidates(
             ),
         )
     if policy is MovementPolicy.EXPIRED_TOMBSTONE_TTL:
-        d_th = trigger.value
-        if d_th is None or trigger.kind is not TriggerKind.TOMBSTONE_TTL:
-            d_th = engine.cfg.delete_persistence_threshold
-        if d_th is None:
-            return None
-        deadline = _ttl_deadline(
-            level_no, d_th, max(engine.manifest.deepest_nonempty_level(), 1)
-        )
-        expired = [
-            m
-            for m in metas
-            if m.oldest_tombstone_tick is not None
-            and now - m.oldest_tombstone_tick > deadline
-        ]
+        d_th = trigger.value if trigger.kind is TriggerKind.TOMBSTONE_TTL else None
+        expired = _expired(engine, metas, level_no, d_th)
         if not expired:
             return None
         return sorted(expired, key=lambda m: (m.oldest_tombstone_tick, m.file_id))
@@ -514,18 +519,12 @@ def _level_metas(man, level_no: int) -> list[SortedFileMeta]:
     return [man.files[fid] for run in man.runs_in_level(level_no) for fid in run]
 
 
-def _overlapping_targets(engine, victims: list[SortedFileMeta], level_no: int) -> list[int]:
-    if not victims:
-        return []
+def _overlapping_targets(
+    engine, victims: list[SortedFileMeta], level_no: int
+) -> list[SortedFileMeta]:
     low = min(m.min_key for m in victims)
     high = max(m.max_key for m in victims)
-    man = engine.manifest
-    out: list[int] = []
-    for run in man.runs_in_level(level_no):
-        for fid in run:
-            if man.files[fid].overlaps(low, high):
-                out.append(fid)
-    return out
+    return _overlapping(engine, low, high, level_no)
 
 
 def _purge_allowed(engine, target_level: int, target_covers_level: bool) -> bool:
@@ -551,73 +550,50 @@ def select_compaction(engine, level_no: int, trigger: Trigger) -> CompactionJob:
         raise InvalidArgument(f"level {level_no} is empty")
     deepest = man.deepest_nonempty_level()
     tiered = strategy.layout.is_tiered(level_no, deepest)
-    runs = man.runs_in_level(level_no)
+    target_tiered = strategy.layout.is_tiered(level_no + 1, deepest)
+    gran = strategy.granularity.kind
+    by_file = gran in (GranularityKind.FILE, GranularityKind.FILES)
+    file_scoped = trigger.kind in _FILE_SCOPED
 
-    def job(victims, target_level, target_ids, add_mode, covers_target):
-        victim_ids = [m.file_id for m in victims]
-        pseudo = (
-            not target_ids
-            and target_level != level_no
-            and strategy.granularity.kind
-            in (GranularityKind.FILE, GranularityKind.FILES)
-            and not tiered
-        )
+    def job(victims, target_level, targets, add_mode, covers_target):
         return CompactionJob(
             source_level=level_no,
-            victim_ids=victim_ids,
+            victim_ids=[m.file_id for m in victims],
             target_level=target_level,
-            target_ids=target_ids,
-            pseudo=pseudo,
+            target_ids=[m.file_id for m in targets],
+            pseudo=not targets and target_level != level_no and by_file and not tiered,
             purge=_purge_allowed(engine, target_level, covers_target),
             add_mode=add_mode,
             trigger=trigger,
         )
 
-    file_scoped = trigger.kind in (
-        TriggerKind.TOMBSTONE_TTL,
-        TriggerKind.TOMBSTONE_DENSITY,
-        TriggerKind.FILE_STALENESS,
-    )
-    if file_scoped and not tiered:
-        if len(runs) > 1:
-            # restore the one-run invariant before moving single files
-            return job(metas, level_no, [], ADD_SPLICE, covers_target=True)
-        n = strategy.granularity.n if strategy.granularity.kind is GranularityKind.FILES else 1
-        victims = _pick_victims(engine, level_no, metas, n, trigger)
-        if level_no == deepest:
-            # rewrite in place: drops expired tombstones at the tree bottom
-            return job(victims, level_no, [], ADD_SPLICE, covers_target=False)
-        targets = _overlapping_targets(engine, victims, level_no + 1)
-        target_tiered = strategy.layout.is_tiered(level_no + 1, deepest)
-        mode = ADD_NEW_RUN if target_tiered else ADD_SPLICE
-        return job(victims, level_no + 1, targets, mode, covers_target=False)
-
     if tiered:
         # merge all sorted runs of the level into the next level
-        victims = metas
-        target_tiered = strategy.layout.is_tiered(level_no + 1, deepest)
         if target_tiered:
-            return job(victims, level_no + 1, [], ADD_NEW_RUN, covers_target=False)
-        targets = _overlapping_targets(engine, victims, level_no + 1)
-        return job(victims, level_no + 1, targets, ADD_SPLICE, covers_target=False)
+            return job(metas, level_no + 1, [], ADD_NEW_RUN, covers_target=False)
+        targets = _overlapping_targets(engine, metas, level_no + 1)
+        return job(metas, level_no + 1, targets, ADD_SPLICE, covers_target=False)
 
-    gran = strategy.granularity.kind
-    if len(runs) > 1 and gran in (GranularityKind.FILE, GranularityKind.FILES):
+    if len(man.runs_in_level(level_no)) > 1 and (file_scoped or by_file):
         # restore the one-run-per-level leveling invariant in place
         return job(metas, level_no, [], ADD_SPLICE, covers_target=True)
 
-    if gran in (GranularityKind.LEVEL, GranularityKind.SORTED_RUN):
+    if not file_scoped and not by_file:
         # whole-level granularity merges the level into its parent outright,
         # so a freshly flushed run empties the level instead of settling in it
-        targets = [
-            fid for run in man.runs_in_level(level_no + 1) for fid in run
-        ]
+        targets = _level_metas(man, level_no + 1)
         return job(metas, level_no + 1, targets, ADD_SPLICE, covers_target=True)
 
     n = strategy.granularity.n if gran is GranularityKind.FILES else 1
-    victims = _pick_victims(engine, level_no, metas, n, trigger)
+    candidates = _nominees(engine, level_no, trigger) if file_scoped else metas
+    victims = _pick_victims(engine, level_no, candidates, n, trigger)
+    if file_scoped and level_no == deepest:
+        # rewrite in place, which drops expired tombstones at the tree
+        # bottom; the span between the first and last victim keeps the
+        # output from overlapping a file that was not picked
+        span = _overlapping_targets(engine, victims, level_no)
+        return job(span, level_no, [], ADD_SPLICE, covers_target=False)
     targets = _overlapping_targets(engine, victims, level_no + 1)
-    target_tiered = strategy.layout.is_tiered(level_no + 1, deepest)
     mode = ADD_NEW_RUN if target_tiered else ADD_SPLICE
     return job(victims, level_no + 1, targets, mode, covers_target=False)
 
@@ -714,5 +690,8 @@ def run_until_quiescent(engine) -> int:
         limit = 10 * max(man.deepest_nonempty_level(), 1) * max(len(man.files), 1)
         if jobs > limit:
             raise InvariantViolation(
-                f"compaction loop did not settle after {jobs} jobs"
+                f"compaction loop of strategy {engine.strategy.name!r} did not settle "
+                f"after {jobs} jobs; the last was a {trigger.kind.value} job from "
+                f"level {job.source_level} to level {job.target_level} "
+                f"on files {job.victim_ids}"
             )

@@ -144,6 +144,14 @@ def test_invalid_strategy_section_exits_2(tmp_path):
     assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_staleness_without_ttl_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, SMALL + "\n[strategy]\ntriggers = file_staleness, level_saturation\n"
+    )
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "file staleness needs a ttl" in capsys.readouterr().err
+
+
 def test_gen_and_run_from_file(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = str(tmp_path / "gen-out")
@@ -181,6 +189,12 @@ def test_model_prints_table(tmp_path, capsys):
     assert float(table["write_amp"][1]) == 3.0
 
 
+def test_unknown_model_option_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[model]\nselectivty = 0.5\n")
+    assert run_cli(["model", "--config", cfg]) == 2
+    assert "'selectivty'" in capsys.readouterr().err
+
+
 def test_compare_ranks_strategies(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL)
     reports = []
@@ -214,3 +228,38 @@ def test_repetitions_emit_multiple_rows(tmp_path):
     assert len(rows) == 2
     seeds = [r.split(",")[1] for r in rows]
     assert seeds == ["7", "8"]
+
+
+PRESETS_CONFIG = """
+[engine]
+size_ratio = 10
+buffer_bytes = 32768
+page_bytes = 2048
+entry_bytes = 128
+block_cache_bytes = 0
+delete_persistence_threshold = 3000
+
+[workload]
+inserts = 20000
+update_ratio = 0.5
+delete_fraction = 0.1
+point_lookups = 2000
+alpha = 0.5
+range_lookups = 50
+seed = 7
+"""
+
+
+def test_every_preset_metrics_csv_is_pinned(tmp_path):
+    # criterion 12's workload with a delete persistence threshold, so that
+    # tsa's TTL trigger fires; a change that sets out to change a paper
+    # measure rewrites tests/data/presets.metrics.csv with this run
+    cfg = write_config(tmp_path, PRESETS_CONFIG)
+    out = str(tmp_path / "out")
+    strategies = "full,lo1,lo2,rr,cold,old,tsd,tsa,tier,1lvl"
+    assert run_cli(["run", "--config", cfg, "--strategy", strategies, "--out", out]) == 0
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "data", "presets.metrics.csv"), "rb") as fh:
+        pinned = fh.read()
+    with open(os.path.join(out, "metrics.csv"), "rb") as fh:
+        assert fh.read() == pinned

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
-from lsmclab import LsmEngine
+import ensembles
+from lsmclab import LsmEngine, compaction
 from lsmclab.compaction import (
     CompactionStrategy,
     DataLayout,
@@ -88,6 +91,8 @@ def test_trigger_value_validation():
         Trigger(TriggerKind.TOMBSTONE_DENSITY, 1.5)
     with pytest.raises(InvalidArgument):
         Trigger(TriggerKind.TOMBSTONE_TTL, -1.0)
+    with pytest.raises(InvalidArgument, match="file staleness needs a ttl"):
+        Trigger(TriggerKind.FILE_STALENESS)
 
 
 def test_hybrid_layout_needs_flags():
@@ -449,4 +454,104 @@ def test_chain_falls_through_to_decidable_policy(tmp_path):
     )
     # no tombstones anywhere: MostTombstones abstained, LO+1 decided
     assert len(picked) == 1
+    eng.close()
+
+
+# ---------------------------------------------------------------------------
+# File-scoped triggers and the ensemble grid
+
+
+def test_ensemble_grid_subset_settles():
+    # every trigger set x movement chain pair, plus ensembles that once
+    # livelocked or split a leveled run; the whole grid runs as
+    # `python tests/ensembles.py`
+    failed = ensembles.failures(ensembles.SUBSET, staleness=300.0, d_th=400, seed=1)
+    assert failed == {}
+
+
+def test_density_job_rewrites_the_file_that_fired(tmp_path):
+    eng = make_engine(tmp_path, "lo1")
+    n = eng.cfg.entries_per_buffer
+    fill(eng, 5 * n)  # level 1 over capacity: a file moves to level 2
+    for i in range(n // 2):  # tombstones in level 1's first file only
+        eng.delete(key(2 * i))
+    fill(eng, n // 2, start=1001)
+    eng.close()
+    dens = CompactionStrategy(
+        name="dens",
+        triggers=(
+            Trigger(TriggerKind.TOMBSTONE_DENSITY, 0.2),
+            Trigger(TriggerKind.LEVEL_SATURATION, 1.0),
+        ),
+        layout=DataLayout(LayoutKind.LEVELING),
+        granularity=Granularity(GranularityKind.FILE),
+        movement=(MovementPolicy.LEAST_OVERLAP_PARENT,),
+    )
+    eng = LsmEngine(str(tmp_path), small_config(), dens, auto_compact=False, debug_checks=True)
+    (level_no, trigger), = evaluate_triggers(eng)
+    fired = [m.file_id for m in compaction._nominees(eng, level_no, trigger)]
+    everything = compaction._level_metas(eng.manifest, level_no)
+    lo1_first = compaction._rank_candidates(
+        eng, level_no, everything, MovementPolicy.LEAST_OVERLAP_PARENT, trigger
+    )[0]
+    assert len(fired) == 1 and lo1_first.file_id not in fired
+    assert select_compaction(eng, level_no, trigger).victim_ids == fired
+    eng.close()
+
+
+def test_in_place_rewrite_takes_the_files_between_its_victims(tmp_path):
+    eng = make_engine(tmp_path, "1lvl")
+    n = eng.cfg.entries_per_buffer
+    # two key ranges reach level 2 first, then one between them later
+    for i in range(2 * n):
+        eng.put(key(i), value(i))
+        eng.put(key(10_000 + i), value(i))
+    fill(eng, 4 * n, start=5_000, step=1)
+    eng.close()
+    stale = CompactionStrategy(
+        name="stale",
+        triggers=(
+            Trigger(TriggerKind.FILE_STALENESS, 32.0),
+            Trigger(TriggerKind.LEVEL_SATURATION, 1.0),
+        ),
+        layout=DataLayout(LayoutKind.LEVELING),
+        granularity=Granularity(GranularityKind.FILES, 3),
+        movement=(MovementPolicy.OLDEST,),
+    )
+    eng = LsmEngine(str(tmp_path), small_config(), stale, auto_compact=False, debug_checks=True)
+    man = eng.manifest
+    assert man.deepest_nonempty_level() == 2 and man.run_count(2) == 1
+    (level_no, trigger), = evaluate_triggers(eng)
+    assert level_no == 2
+    (run,) = man.runs_in_level(2)
+    stale_ids = {m.file_id for m in compaction._nominees(eng, 2, trigger)}
+    assert [fid in stale_ids for fid in run] == [True, True] + [False] * 4 + [True, True]
+    job = select_compaction(eng, 2, trigger)
+    # the victims are the first three stale files; the span takes the four
+    # young files between the second and the third
+    assert job.victim_ids == run[:7] and job.target_level == 2
+    execute_compaction(eng, job)
+    man.check()
+    assert man.run_count(2) == 1
+    assert [eng.get(key(5_000 + i)) for i in range(4 * n)] == [value(i) for i in range(4 * n)]
+    eng.close()
+
+
+def test_livelock_error_names_the_repeating_job(tmp_path, monkeypatch):
+    eng = make_engine(tmp_path, "lo1")
+    fill(eng, 2 * eng.cfg.entries_per_buffer)
+    stale = Trigger(TriggerKind.FILE_STALENESS, 1.0)
+
+    def always_stale(engine):
+        engine.manifest.logical_tick += 2  # every file outlives the ttl
+        return [(engine.manifest.deepest_nonempty_level(), stale)]
+
+    monkeypatch.setattr(compaction, "evaluate_triggers", always_stale)
+    with pytest.raises(InvariantViolation) as err:
+        run_until_quiescent(eng)
+    assert re.fullmatch(
+        r"compaction loop of strategy 'lo1' did not settle after \d+ jobs; the last "
+        r"was a file_staleness job from level 1 to level 1 on files \[\d+\]",
+        str(err.value),
+    )
     eng.close()
