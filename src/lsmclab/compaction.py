@@ -627,7 +627,8 @@ def execute_compaction(engine, job: CompactionJob) -> CompactionResult:
     cfg = engine.cfg
 
     if job.pseudo:
-        victims = [man.files[fid] for fid in job.victim_ids]
+        # a new run takes its files in the order given, so key order here
+        victims = sorted((man.files[fid] for fid in job.victim_ids), key=lambda m: m.min_key)
         edit = VersionEdit(
             removes=list(job.victim_ids),
             adds=[(job.target_level, job.add_mode, victims)],

@@ -100,11 +100,17 @@ class LsmEngine:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        self._release_spares(0)
-        for reader in self._readers.values():
-            reader.close()
-        self._readers.clear()
-        self.manifest.close()
+        """Flush buffered writes, then release readers, spares and the
+        manifest log; they are released even when the flush raises."""
+        try:
+            if self.buffer:
+                self.flush_buffer()
+        finally:
+            self._release_spares(0)
+            for reader in self._readers.values():
+                reader.close()
+            self._readers.clear()
+            self.manifest.close()
 
     def __enter__(self) -> "LsmEngine":
         return self
@@ -135,8 +141,10 @@ class LsmEngine:
         self, slots, level: int, oldest_ts_tick: int | None
     ) -> list[SortedFileMeta]:
         """Write a job's whole sorted output as files of ``entries_per_file``
-        rows; the columns they are written from are computed once. A failed
-        write keeps the job's files on disk as spares."""
+        rows; the columns they are written from are computed once. Each new
+        file's reader starts with the Bloom filter the job built, so no
+        lookup reads it back. A failed write keeps the job's files on disk
+        as spares and registers no reader."""
         if not len(slots):
             return []
         job = JobColumns(slots, self.cfg, self.cfg.entries_per_file)
@@ -162,6 +170,8 @@ class LsmEngine:
             if os.path.exists(path):
                 self._spares.append(path)
             raise
+        for meta, filt in zip(metas, job.filters):
+            self._readers[meta.file_id] = SstReader(meta, self.cfg, _filter=filt)
         return metas
 
     def forget_files(self, file_ids: list[int]) -> None:

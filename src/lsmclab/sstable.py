@@ -278,7 +278,9 @@ class JobColumns:
     when pages have no slack (the writer adds each last page's zero tail),
     else the rows laid out into zeroed pages. ``hashes`` are the keys'
     Bloom hash pairs, ``fences`` every page's index record back to back
-    (page ``p``'s starts at ``fence_starts[p]``).
+    (page ``p``'s starts at ``fence_starts[p]``). ``filters[part]`` is the
+    Bloom filter built for file ``part``, set when that file is written,
+    so the file's reader can start with it.
     """
 
     def __init__(self, slots: np.ndarray, cfg: TreeConfig, rows_per_file: int) -> None:
@@ -292,6 +294,7 @@ class JobColumns:
         self.cfg = cfg
         self.rows_per_file = rows_per_file
         self.files = -(-n // rows_per_file)
+        self.filters: list[BloomFilter | None] = [None] * self.files
         if per_page * slot == cfg.page_bytes:
             data = np.ascontiguousarray(slots)
         else:
@@ -332,8 +335,9 @@ def write_file_from_slots(
     created_tick: int,
     oldest_tombstone_tick: int | None,
 ) -> SortedFileMeta:
-    """Write file ``part`` of a job; returns its metadata. Every file is
-    written here, from its slice of the job's :class:`JobColumns`.
+    """Write file ``part`` of a job; returns its metadata and leaves the
+    file's Bloom filter in ``job.filters[part]``. Every file is written
+    here, from its slice of the job's :class:`JobColumns`.
 
     Each fence is its page's first key at that key's own length.
     ``oldest_tombstone_tick`` is recorded only when the file actually
@@ -360,6 +364,7 @@ def write_file_from_slots(
     index_off, index_len, filter_off, filter_len = _write_blocks(
         path, data, tail, index, filt.to_bytes(), n, n_pages
     )
+    job.filters[part] = filt
 
     return SortedFileMeta(
         file_id=file_id,

@@ -2,8 +2,8 @@
 against a dict oracle.
 
 An ensemble is named ``triggers/layout/granularity/chain``, for example
-``dens+sat/leveling/file/lo1``. The full grid is 7 trigger sets x 5 layouts
-x 4 granularities x 8 movement chains = 1,120 ensembles. Each replays 1,500
+``dens+sat/leveling/file/lo1``. The full grid is 7 trigger sets x 6 layouts
+x 4 granularities x 8 movement chains = 1,344 ensembles. Each replays 1,500
 puts and deletes over 600 keys on a tree of size ratio 3 with 8-entry
 buffers and ``debug_checks=True``, drains its triggers, and must then match
 the oracle both before and after a reopen.
@@ -58,6 +58,7 @@ LAYOUTS = {
     "one_leveling": DataLayout(LayoutKind.ONE_LEVELING),
     "l_leveling": DataLayout(LayoutKind.L_LEVELING),
     "hybrid": DataLayout(LayoutKind.HYBRID, ("tiered", "leveled")),
+    "hybrid_lt": DataLayout(LayoutKind.HYBRID, ("leveled", "tiered")),
 }
 GRANULARITIES = {
     "level": Granularity(GranularityKind.LEVEL),
@@ -81,9 +82,10 @@ GRID = tuple(
     "/".join(parts) for parts in itertools.product(TRIGGER_SETS, LAYOUTS, GRANULARITIES, CHAINS)
 )
 
-# Every trigger set x movement chain pair, with layout and granularity
-# cycled so that each layout and each granularity appears, plus ensembles
-# that once livelocked or split a leveled run.
+# Every trigger set x movement chain pair, with the first five layouts and
+# the granularities cycled so that each of them appears, plus ensembles
+# that once livelocked or split a run (the leveled-over-tiered hybrid
+# enters through these).
 SUBSET = tuple(
     dict.fromkeys(
         [
@@ -98,6 +100,12 @@ SUBSET = tuple(
             "ttl+sat/leveling/file/lo1",
             "stale+sat/leveling/files3/ttl>lo1",
             "stale+sat/one_leveling/files3/cold",
+            "sat/hybrid_lt/files3/rr",
+            "sat/hybrid_lt/files3/lo2",
+            "sat/hybrid_lt/files3/ts>lo1",
+            "runs+sat/hybrid_lt/files3/rr",
+            "runs+sat/hybrid_lt/files3/lo2",
+            "runs+sat/hybrid_lt/files3/ts>lo1",
         ]
     )
 )

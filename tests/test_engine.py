@@ -11,7 +11,7 @@ import pytest
 from lsmclab import LsmEngine, TreeConfig
 from lsmclab.bloom import BloomFilter
 from lsmclab.errors import InvalidArgument, StorageIOError
-from lsmclab.sstable import PUT, SstReader
+from lsmclab.sstable import PUT, SstReader, encode_slots
 
 from conftest import MIXED_KEYS, key, small_config, value
 
@@ -175,33 +175,47 @@ def count_meta_reads(monkeypatch):
 
 def test_cold_cache_reads_each_meta_block_once_per_file(tmp_path, monkeypatch):
     """With no block cache every block access misses and is charged, but a
-    file's filter and index block are read and parsed once."""
+    file's index block is read and parsed once, and its filter never: the
+    reader starts with the filter its writer built. A file opened by a
+    later engine reads its filter once."""
     cfg = small_config(block_cache_bytes=0)
     reads = count_meta_reads(monkeypatch)
     rng = random.Random(5)
-    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
     oracle = {}
-    probes = 0
-    for i in range(3000):
-        k = key(rng.randrange(300))
-        if rng.random() < 0.25:
-            eng.put(k, value(i))
-            oracle[k] = value(i)
-            continue
-        before = eng.metrics.io_pages
-        res = eng.point_lookup(k)
-        assert res.value == oracle.get(k)
-        # every filter probed was a miss; each miss is charged one page,
-        # since this geometry's meta blocks fit a page
-        assert res.filter_blocks_read == res.filter_probes
-        pages = res.filter_blocks_read + res.index_blocks_read + res.data_pages_read
-        assert eng.metrics.io_pages - before == pages
-        probes += res.filter_probes
-    metas = eng.manifest.files.values()
-    assert all(max(m.filter_len, m.index_len) <= cfg.page_bytes for m in metas)
-    assert eng.cache.misses["filter"] == probes and not any(eng.cache.hits.values())
+
+    def replay(eng, n_ops):
+        probes = 0
+        for i in range(n_ops):
+            k = key(rng.randrange(300))
+            if rng.random() < 0.25:
+                eng.put(k, value(i))
+                oracle[k] = value(i)
+                continue
+            before = eng.metrics.io_pages
+            res = eng.point_lookup(k)
+            assert res.value == oracle.get(k)
+            # every filter probed was a miss; each miss is charged one page,
+            # since this geometry's meta blocks fit a page
+            assert res.filter_blocks_read == res.filter_probes
+            pages = res.filter_blocks_read + res.index_blocks_read + res.data_pages_read
+            assert eng.metrics.io_pages - before == pages
+            probes += res.filter_probes
+        metas = eng.manifest.files.values()
+        assert all(max(m.filter_len, m.index_len) <= cfg.page_bytes for m in metas)
+        assert eng.cache.misses["filter"] == probes and not any(eng.cache.hits.values())
+
+    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
+    replay(eng, 3000)
     assert eng.metrics.compaction_count > 10
-    assert len(reads["filter"]) > 20 and len(reads["index"]) > 20
+    assert not reads["filter"]
+    assert len(reads["index"]) > 20 and set(reads["index"].values()) == {1}
+    eng.close()
+
+    reads["index"].clear()
+    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True, auto_compact=False)
+    live = set(eng.manifest.files)
+    replay(eng, 600)
+    assert len(reads["filter"]) > 5 and set(reads["filter"]) <= live
     assert set(reads["filter"].values()) == set(reads["index"].values()) == {1}
     eng.close()
 
@@ -209,6 +223,9 @@ def test_cold_cache_reads_each_meta_block_once_per_file(tmp_path, monkeypatch):
 def test_failed_filter_read_caches_and_charges_nothing(tmp_path, cfg, monkeypatch):
     eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
     fill(eng, cfg.entries_per_buffer, step=1)
+    eng.close()
+    # a reopened engine reads each filter from disk
+    eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
     (meta,) = eng.manifest.files.values()
 
     def failing(self):
@@ -232,6 +249,49 @@ def test_failed_filter_read_caches_and_charges_nothing(tmp_path, cfg, monkeypatc
     assert eng.point_lookup(key(1)).filter_blocks_read == 0
     assert reads["filter"] == {meta.file_id: 1}
     assert eng.cache.resident_bytes == meta.filter_len + meta.index_len + cfg.page_bytes
+    eng.close()
+
+
+def test_written_files_readers_start_with_their_filters(tmp_path, cfg):
+    """Every file written by flush or compaction gets a reader holding the
+    filter its job built, equal to the filter block on disk."""
+    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
+    fill(eng, 12 * cfg.entries_per_buffer, step=3)
+    fill(eng, 6 * cfg.entries_per_buffer, step=5)
+    assert eng.metrics.compaction_count > 0
+    assert set(eng._readers) >= set(eng.manifest.files)
+    for fid, meta in eng.manifest.files.items():
+        reader = eng._readers[fid]
+        assert reader.meta is meta and reader._filter is not None
+        on_disk = BloomFilter.from_bytes(reader.read_filter_block())
+        assert reader._filter.to_bytes() == on_disk.to_bytes()
+    eng.close()
+
+
+def test_failed_job_registers_no_reader(tmp_path, cfg, monkeypatch):
+    """A job whose k-th file fails to write leaves no reader for any of its
+    files, the ones already written included."""
+    eng = LsmEngine(str(tmp_path), cfg, "full", debug_checks=True)
+    fill(eng, 8 * cfg.entries_per_buffer)
+    eng.quiesce()
+    first_id = eng.manifest.next_file_id
+    readers = dict(eng._readers)
+    real_writev = os.writev
+    calls = [0]
+
+    def writev(fd, buffers):
+        calls[0] += 1  # the first file of the job is written whole
+        return real_writev(fd, buffers[:-1] if calls[0] == 2 else buffers)
+
+    monkeypatch.setattr(os, "writev", writev)
+    entries = [(key(i), i, PUT, value(i)) for i in range(3 * cfg.entries_per_file)]
+    slots = encode_slots(entries, cfg.entry_bytes)
+    with pytest.raises(StorageIOError):
+        eng.write_sorted_slots(slots, 2, None)
+    monkeypatch.undo()
+    assert calls[0] == 2 and eng.manifest.next_file_id == first_id + 2
+    assert eng._readers == readers
+    assert not set(eng._readers) - set(eng.manifest.files)
     eng.close()
 
 
@@ -469,6 +529,42 @@ def test_failed_job_leaves_no_file_behind(tmp_path, cfg, monkeypatch):
     assert sst_names(directory) == live_names(eng)
 
 
+def test_close_flushes_the_write_buffer(tmp_path, cfg):
+    n = cfg.entries_per_buffer
+    with LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True) as eng:
+        fill(eng, 2 * n + n // 2)
+        eng.delete(key(0))
+        assert eng.buffer
+    with LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True) as eng:
+        assert not eng.buffer
+        assert eng.get(key(0)) is None
+        assert all(eng.get(key(2 * i)) == value(i) for i in range(1, 2 * n + n // 2))
+        # the engine's own writes stay in the buffer, which close() writes out
+        fill(eng, n // 2, start=1)
+        assert eng.buffer
+    with LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True) as eng:
+        assert all(eng.get(key(1 + 2 * i)) == value(i) for i in range(n // 2))
+
+
+def test_close_releases_everything_when_its_flush_fails(tmp_path, cfg, monkeypatch):
+    directory = str(tmp_path)
+    eng = LsmEngine(directory, cfg, "lo1", debug_checks=True)
+    fill(eng, 6 * cfg.entries_per_buffer + 3)
+    assert eng.buffer and eng._readers
+    real_writev = os.writev
+    monkeypatch.setattr(os, "writev", lambda fd, buffers: real_writev(fd, buffers[:-1]))
+    with pytest.raises(StorageIOError):
+        eng.close()
+    monkeypatch.undo()
+    # readers, spares (the failed file among them) and the manifest log
+    # were released all the same
+    assert not eng._readers and not eng._spares and eng.manifest._log is None
+    assert sst_names(directory) == live_names(eng)
+    # the writes acknowledged before the last flush survive
+    with LsmEngine(directory, cfg, "lo1", debug_checks=True) as eng:
+        assert all(eng.get(key(2 * i)) == value(i) for i in range(6 * cfg.entries_per_buffer))
+
+
 def test_reopen_collects_orphaned_sorted_files(tmp_path, cfg):
     eng = LsmEngine(str(tmp_path / "db"), cfg, "lo1")
     oracle = {}
@@ -525,6 +621,9 @@ def test_truncated_file_reads_raise(tmp_path, cut):
     eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
     fill(eng, n, start=0, step=1)
     fill(eng, n, start=1000, step=1)
+    eng.close()
+    # a reopened engine reads each filter from disk
+    eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
     assert eng.manifest.run_count(1) == 2
     meta = eng.manifest.files[min(eng.manifest.files)]  # holds key(0) .. key(n - 1)
     at = {
