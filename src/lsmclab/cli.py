@@ -21,18 +21,7 @@ import os
 import sys
 import tempfile
 
-from .compaction import (
-    CompactionStrategy,
-    DataLayout,
-    Granularity,
-    GranularityKind,
-    LayoutKind,
-    MovementPolicy,
-    PRESET_NAMES,
-    Trigger,
-    TriggerKind,
-    get_strategy,
-)
+from .compaction import PRESET_NAMES, CompactionStrategy, get_strategy
 from .config import TreeConfig
 from .costmodel import ModelParams, model_table
 from .engine import LsmEngine
@@ -178,61 +167,19 @@ def _workload_spec(
         raise ConfigError(str(exc)) from exc
 
 
-_TRIGGER_KINDS = {k.value: k for k in TriggerKind}
-_POLICIES = {p.value: p for p in MovementPolicy}
-_LAYOUTS = {k.value: k for k in LayoutKind}
-_GRANULARITIES = {k.value: k for k in GranularityKind}
-
-
-def _explicit_strategy(section) -> CompactionStrategy:
-    try:
-        triggers = []
-        for part in section.get("triggers", "level_saturation").split(","):
-            name, _, arg = part.strip().partition(":")
-            if name not in _TRIGGER_KINDS:
-                raise ConfigError(f"unknown trigger {name!r}")
-            triggers.append(
-                Trigger(_TRIGGER_KINDS[name], float(arg) if arg else None)
-            )
-        layout_text = section.get("layout", "leveling")
-        lname, _, flags = layout_text.partition(":")
-        if lname not in _LAYOUTS:
-            raise ConfigError(f"unknown layout {lname!r}")
-        layout = DataLayout(
-            _LAYOUTS[lname],
-            tuple(f.strip() for f in flags.split(",")) if flags else (),
-        )
-        gtext = section.get("granularity", "level")
-        gname, _, n = gtext.partition(":")
-        if gname not in _GRANULARITIES:
-            raise ConfigError(f"unknown granularity {gname!r}")
-        granularity = Granularity(_GRANULARITIES[gname], int(n) if n else 1)
-        movement = tuple(
-            _POLICIES[p.strip()]
-            for p in section.get("movement", "entire_level").split(",")
-        )
-        return CompactionStrategy(
-            name=section.get("name", "custom"),
-            triggers=tuple(triggers),
-            layout=layout,
-            granularity=granularity,
-            movement=movement,
-        )
-    except (KeyError, ValueError, InvalidArgument) as exc:
-        raise ConfigError(f"bad strategy section: {exc}") from exc
-
-
 def _strategies(cfg: configparser.ConfigParser, override: str | None) -> list[CompactionStrategy]:
-    if override is None and cfg.has_section("strategy"):
-        _check_keys(cfg, "strategy", ("name", "triggers", "layout", "granularity", "movement"))
-        return [_explicit_strategy(cfg["strategy"])]
+    if cfg.has_section("strategy"):
+        raise ConfigError(
+            "the [strategy] section is gone; name the ensemble instead: "
+            "[run] strategy = <triggers>/<layout>/<granularity>/<chain>"
+        )
     names = override
     if names is None:
         names = cfg.get("run", "strategy", fallback="full")
     out = []
     for name in names.split(","):
         try:
-            out.append(get_strategy(name.strip()))
+            out.append(get_strategy(name))
         except InvalidArgument as exc:
             raise ConfigError(str(exc)) from exc
     return out
@@ -480,7 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument(
         "--strategy",
-        help=f"comma-separated preset names ({', '.join(PRESET_NAMES)})",
+        help=(
+            "comma-separated presets (" + ", ".join(PRESET_NAMES) + ") or ensembles "
+            "<triggers>/<layout>/<granularity>/<chain>, e.g. dens+sat/leveling/file/ts>lo1"
+        ),
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -2,14 +2,15 @@
 
 A strategy combines a trigger set (when to compact), a data layout
 (how runs are arranged per level), a granularity (how much data one job
-moves) and a data-movement policy chain (which files to move). The ten
-named presets cover the common production designs; arbitrary ensembles
-can be composed from the same parts.
+moves) and a data-movement policy chain (which files to move). An
+ensemble is named ``triggers/layout/granularity/chain``; the ten named
+presets are such names for the common production designs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -58,6 +59,8 @@ class Trigger:
             if k is TriggerKind.FILE_STALENESS:
                 raise InvalidArgument("file staleness needs a ttl")
             return
+        if math.isnan(v):  # fails every comparison below, so would pass them
+            raise InvalidArgument("trigger value is not a number")
         if k is TriggerKind.LEVEL_SATURATION and not 0 < v <= 2:
             raise InvalidArgument("saturation threshold must be in (0, 2]")
         if k is TriggerKind.SORTED_RUN_COUNT and v < 2:
@@ -121,14 +124,15 @@ class Granularity:
 
 
 class MovementPolicy(Enum):
-    ENTIRE_LEVEL = "entire_level"
-    ROUND_ROBIN = "round_robin"
-    LEAST_OVERLAP_PARENT = "least_overlap_parent"
-    LEAST_OVERLAP_GRANDPARENT = "least_overlap_grandparent"
-    COLDEST = "coldest"
-    OLDEST = "oldest"
-    MOST_TOMBSTONES = "most_tombstones"
-    EXPIRED_TOMBSTONE_TTL = "expired_tombstone_ttl"
+    # each value is the policy's word in an ensemble name
+    ENTIRE_LEVEL = "full"
+    ROUND_ROBIN = "rr"
+    LEAST_OVERLAP_PARENT = "lo1"
+    LEAST_OVERLAP_GRANDPARENT = "lo2"
+    COLDEST = "cold"
+    OLDEST = "old"
+    MOST_TOMBSTONES = "ts"
+    EXPIRED_TOMBSTONE_TTL = "ttl"
 
 
 # Policies that never abstain; a movement chain must end with one of these.
@@ -159,85 +163,116 @@ class CompactionStrategy:
             raise InvalidArgument("movement chain must end with a decidable policy")
 
 
-def _leveled_file_strategy(name: str, policy: MovementPolicy) -> CompactionStrategy:
+# Each axis of an ensemble name maps its words to what they build. A
+# trigger word's entry is its kind and the value used when the token has
+# no argument.
+_TRIGGER_WORDS = {
+    "sat": (TriggerKind.LEVEL_SATURATION, 1.0),
+    "runs": (TriggerKind.SORTED_RUN_COUNT, None),
+    "sa": (TriggerKind.SPACE_AMP, 0.5),
+    # above the typical per-file delete fraction, so only tombstone-saturated
+    # files fire rather than every file
+    "dens": (TriggerKind.TOMBSTONE_DENSITY, 0.2),
+    "ttl": (TriggerKind.TOMBSTONE_TTL, None),
+    "stale": (TriggerKind.FILE_STALENESS, None),
+}
+_LAYOUT_WORDS = {k.value: k for k in LayoutKind}
+_GRANULARITY_WORDS = {k.value: k for k in GranularityKind}
+_POLICY_WORDS = {p.value: p for p in MovementPolicy}
+_HYBRID_FLAGS = {"t": "tiered", "l": "leveled"}
+
+
+def _no_arg(value, arg: str | None):
+    if arg is not None:
+        raise ValueError("the word takes no argument")
+    return value
+
+
+def _trigger(entry: tuple[TriggerKind, float | None], arg: str | None) -> Trigger:
+    kind, default = entry
+    return Trigger(kind, default if arg is None else float(arg))
+
+
+def _layout(kind: LayoutKind, arg: str | None) -> DataLayout:
+    if kind is not LayoutKind.HYBRID:
+        return DataLayout(_no_arg(kind, arg))
+    # one flag per level, the last repeating; DataLayout rejects other letters
+    return DataLayout(kind, tuple(_HYBRID_FLAGS.get(flag, flag) for flag in arg or ""))
+
+
+def _granularity(kind: GranularityKind, arg: str | None) -> Granularity:
+    if kind is not GranularityKind.FILES:
+        return Granularity(_no_arg(kind, arg))
+    return Granularity(kind, 1 if arg is None else int(arg))
+
+
+def _token(token: str, axis: str, words: dict, build):
+    """Build one ``word[:arg]`` token of an ensemble name; an error names
+    the token and the axis's words."""
+    word, colon, arg = token.partition(":")
+    try:
+        if word not in words:
+            raise ValueError("unknown word")
+        return build(words[word], arg if colon else None)
+    except (ValueError, InvalidArgument) as exc:
+        raise InvalidArgument(
+            f"{axis} {token!r}: {exc}; {axis} words: {', '.join(words)}"
+        ) from None
+
+
+def parse_ensemble(name: str) -> CompactionStrategy:
+    """The strategy an ensemble name ``triggers/layout/granularity/chain``
+    spells, for example ``dens+sat/leveling/file/ts>lo1``: triggers joined
+    by ``+``, movement policies by ``>``, each token ``word[:arg]``."""
+    parts = name.split("/")
+    if len(parts) != 4:
+        raise InvalidArgument(
+            f"strategy {name!r} is neither a preset ({', '.join(PRESETS)}) nor an "
+            "ensemble <triggers>/<layout>/<granularity>/<chain>"
+        )
+    triggers, layout, granularity, chain = parts
     return CompactionStrategy(
         name=name,
-        triggers=(Trigger(TriggerKind.LEVEL_SATURATION, 1.0),),
-        layout=DataLayout(LayoutKind.LEVELING),
-        granularity=Granularity(GranularityKind.FILE),
-        movement=(policy,),
+        triggers=tuple(
+            _token(t, "trigger", _TRIGGER_WORDS, _trigger) for t in triggers.split("+")
+        ),
+        layout=_token(layout, "layout", _LAYOUT_WORDS, _layout),
+        granularity=_token(granularity, "granularity", _GRANULARITY_WORDS, _granularity),
+        movement=tuple(_token(p, "policy", _POLICY_WORDS, _no_arg) for p in chain.split(">")),
     )
+
+
+# The named presets and the ensembles they stand for.
+PRESETS = {
+    "full": "sat/leveling/level/full",
+    "lo1": "sat/leveling/file/lo1",
+    "lo2": "sat/leveling/file/lo2",
+    "rr": "sat/leveling/file/rr",
+    "cold": "sat/leveling/file/cold",
+    "old": "sat/leveling/file/old",
+    "tsd": "dens+sat/leveling/file/ts>lo1",
+    "tsa": "ttl+sat/leveling/file/ttl>lo1",
+    "tier": "runs+sa/tiering/sorted_run/full",
+    "1lvl": "runs+sat/one_leveling/file/lo1",
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def presets() -> dict[str, CompactionStrategy]:
     """The ten named strategies, keyed by their CLI names."""
-    sat = Trigger(TriggerKind.LEVEL_SATURATION, 1.0)
-    return {
-        "full": CompactionStrategy(
-            "full",
-            triggers=(sat,),
-            layout=DataLayout(LayoutKind.LEVELING),
-            granularity=Granularity(GranularityKind.LEVEL),
-            movement=(MovementPolicy.ENTIRE_LEVEL,),
-        ),
-        "lo1": _leveled_file_strategy("lo1", MovementPolicy.LEAST_OVERLAP_PARENT),
-        "lo2": _leveled_file_strategy("lo2", MovementPolicy.LEAST_OVERLAP_GRANDPARENT),
-        "rr": _leveled_file_strategy("rr", MovementPolicy.ROUND_ROBIN),
-        "cold": _leveled_file_strategy("cold", MovementPolicy.COLDEST),
-        "old": _leveled_file_strategy("old", MovementPolicy.OLDEST),
-        "tsd": CompactionStrategy(
-            "tsd",
-            # above the typical per-file delete fraction, so only
-            # tombstone-saturated files fire rather than every file
-            triggers=(Trigger(TriggerKind.TOMBSTONE_DENSITY, 0.2), sat),
-            layout=DataLayout(LayoutKind.LEVELING),
-            granularity=Granularity(GranularityKind.FILE),
-            movement=(
-                MovementPolicy.MOST_TOMBSTONES,
-                MovementPolicy.LEAST_OVERLAP_PARENT,
-            ),
-        ),
-        "tsa": CompactionStrategy(
-            "tsa",
-            triggers=(Trigger(TriggerKind.TOMBSTONE_TTL, None), sat),
-            layout=DataLayout(LayoutKind.LEVELING),
-            granularity=Granularity(GranularityKind.FILE),
-            movement=(
-                MovementPolicy.EXPIRED_TOMBSTONE_TTL,
-                MovementPolicy.LEAST_OVERLAP_PARENT,
-            ),
-        ),
-        "tier": CompactionStrategy(
-            "tier",
-            triggers=(
-                Trigger(TriggerKind.SORTED_RUN_COUNT, None),
-                Trigger(TriggerKind.SPACE_AMP, 0.5),
-            ),
-            layout=DataLayout(LayoutKind.TIERING),
-            granularity=Granularity(GranularityKind.SORTED_RUN),
-            movement=(MovementPolicy.ENTIRE_LEVEL,),
-        ),
-        "1lvl": CompactionStrategy(
-            "1lvl",
-            triggers=(Trigger(TriggerKind.SORTED_RUN_COUNT, None), sat),
-            layout=DataLayout(LayoutKind.ONE_LEVELING),
-            granularity=Granularity(GranularityKind.FILE),
-            movement=(MovementPolicy.LEAST_OVERLAP_PARENT,),
-        ),
-    }
-
-
-PRESET_NAMES = tuple(presets().keys())
+    return {name: get_strategy(name) for name in PRESETS}
 
 
 def get_strategy(name: str) -> CompactionStrategy:
-    table = presets()
-    key = name.strip().lower().replace("+", "").replace("-", "")
-    aliases = {"lo1": "lo1", "lo2": "lo2", "1lvl": "1lvl", "onelvl": "1lvl"}
-    key = aliases.get(key, key)
-    if key not in table:
-        raise InvalidArgument(f"unknown strategy {name!r}; presets: {PRESET_NAMES}")
-    return table[key]
+    """A preset by its name or an alias, else the ensemble ``name`` spells."""
+    name = name.strip()
+    # aliases ignore case, "+" and "-" ("LO+1", "1-lvl"); an ensemble's "+"
+    # joins its triggers, so a name with "/" skips them
+    key = name if "/" in name else name.lower().replace("+", "").replace("-", "")
+    key = "1lvl" if key == "onelvl" else key
+    if key in PRESETS:
+        return replace(parse_ensemble(PRESETS[key]), name=key)
+    return parse_ensemble(name)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ class LsmEngine:
         # buffer: key -> (seqnum, kind, value); newest version wins on insert
         self.buffer: dict[bytes, tuple[int, int, bytes]] = {}
         self._buffer_oldest_ts_tick: int | None = None
-        self.rr_cursors: dict[int, bytes] = {}
+        self.rr_cursors = self.manifest.rr_cursors  # picks set them, edits log them
         self._readers: dict[int, SstReader] = {}
         # paths of retired files, most recent last: each becomes the storage
         # of a later file by a rename and an overwrite, not an unlink and a

@@ -35,6 +35,8 @@ class VersionEdit:
     next_file_id: int | None = None
     next_seqnum: int | None = None
     tick: int | None = None
+    # level -> round-robin cursor, for the cursors set since the last edit
+    cursors: dict[int, bytes] = field(default_factory=dict)
 
 
 def _meta_to_json(meta: SortedFileMeta) -> dict:
@@ -86,6 +88,11 @@ class Manifest:
         self.next_file_id = 1
         self.next_seqnum = 1
         self.logical_tick = 0
+        # level -> the largest min_key of the last round-robin pick there; a
+        # pick sets it and the next edit logs it, as RocksDB's VersionEdit
+        # logs compact cursors
+        self.rr_cursors: dict[int, bytes] = {}
+        self._logged_cursors: dict[int, bytes] = {}
         self._runs_view: list[tuple[list[bytes], list[SortedFileMeta]]] | None = None
         self._log_path = os.path.join(directory, MANIFEST_NAME)
         self._log = None
@@ -124,7 +131,7 @@ class Manifest:
             self._log = None
 
     def _edit_to_json(self, edit: VersionEdit) -> dict:
-        return {
+        obj = {
             "rm": edit.removes,
             "add": [
                 [level, mode, [_meta_to_json(m) for m in metas]]
@@ -134,6 +141,9 @@ class Manifest:
             "nseq": edit.next_seqnum,
             "tick": edit.tick,
         }
+        if edit.cursors:
+            obj["rr"] = {level: key.hex() for level, key in edit.cursors.items()}
+        return obj
 
     def _edit_from_json(self, obj: dict) -> VersionEdit:
         return VersionEdit(
@@ -145,6 +155,7 @@ class Manifest:
             next_file_id=obj["nfid"],
             next_seqnum=obj["nseq"],
             tick=obj["tick"],
+            cursors={int(level): bytes.fromhex(key) for level, key in obj.get("rr", {}).items()},
         )
 
     # -- edits ------------------------------------------------------------
@@ -154,6 +165,7 @@ class Manifest:
         edit.next_file_id = self.next_file_id
         edit.next_seqnum = self.next_seqnum
         edit.tick = self.logical_tick
+        edit.cursors = dict(self.rr_cursors.items() - self._logged_cursors.items())
         if self._log is not None:
             try:
                 self._log.write(json.dumps(self._edit_to_json(edit)) + "\n")
@@ -199,6 +211,8 @@ class Manifest:
             self.next_seqnum = edit.next_seqnum
         if edit.tick is not None:
             self.logical_tick = max(self.logical_tick, edit.tick)
+        self.rr_cursors.update(edit.cursors)
+        self._logged_cursors.update(edit.cursors)
 
     def _ensure_level(self, level_no: int) -> None:
         while len(self.levels) < level_no:

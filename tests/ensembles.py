@@ -2,14 +2,17 @@
 against a dict oracle.
 
 An ensemble is named ``triggers/layout/granularity/chain``, for example
-``dens+sat/leveling/file/lo1``. The full grid is 7 trigger sets x 6 layouts
-x 4 granularities x 8 movement chains = 1,344 ensembles. Each replays 1,500
-puts and deletes over 600 keys on a tree of size ratio 3 with 8-entry
-buffers and ``debug_checks=True``, drains its triggers, and must then match
-the oracle both before and after a reopen.
+``dens+sat/leveling/file/lo1``, and ``lsmclab.compaction.parse_ensemble``
+builds it; this module holds only the names. The full grid is 7 trigger
+sets x 6 layouts x 4 granularities x 8 movement chains = 1,344 ensembles.
+Each replays 1,500 puts and deletes over 600 keys on a tree of size ratio 3
+with 8-entry buffers and ``debug_checks=True``, drains its triggers, and
+must then match the oracle both before and after a reopen. The names carry
+``stale:300``; ``--staleness`` replaces that argument.
 
-``tests/test_compaction.py`` runs a covering subset (``SUBSET``). Run the
-whole grid with::
+``tests/test_compaction.py`` runs a covering subset (``SUBSET``), and
+``tests/test_cli.py`` pins the subset's ``metrics.csv``. Run the whole grid
+with::
 
     PYTHONPATH=src python tests/ensembles.py --staleness 300 --dth 400 --seed 1
 """
@@ -19,64 +22,19 @@ from __future__ import annotations
 import argparse
 import itertools
 import random
+import re
 import sys
 import tempfile
 import time
 
 from lsmclab import LsmEngine, TreeConfig
-from lsmclab.compaction import (
-    CompactionStrategy,
-    DataLayout,
-    Granularity,
-    GranularityKind,
-    LayoutKind,
-    MovementPolicy,
-    Trigger,
-    TriggerKind,
-)
+from lsmclab.compaction import parse_ensemble
 
-_SAT = Trigger(TriggerKind.LEVEL_SATURATION, 1.0)
-_RUNS = Trigger(TriggerKind.SORTED_RUN_COUNT, None)
-
-
-def _trigger_sets(staleness: float) -> dict[str, tuple[Trigger, ...]]:
-    return {
-        "sat": (_SAT,),
-        "runs": (_RUNS,),
-        "runs+sat": (_RUNS, _SAT),
-        "runs+sa": (_RUNS, Trigger(TriggerKind.SPACE_AMP, 0.5)),
-        "stale+sat": (Trigger(TriggerKind.FILE_STALENESS, staleness), _SAT),
-        "ttl+sat": (Trigger(TriggerKind.TOMBSTONE_TTL, None), _SAT),
-        "dens+sat": (Trigger(TriggerKind.TOMBSTONE_DENSITY, 0.2), _SAT),
-    }
-
-
-TRIGGER_SETS = tuple(_trigger_sets(1.0))  # the names; the staleness TTL is a probe setting
-LAYOUTS = {
-    "leveling": DataLayout(LayoutKind.LEVELING),
-    "tiering": DataLayout(LayoutKind.TIERING),
-    "one_leveling": DataLayout(LayoutKind.ONE_LEVELING),
-    "l_leveling": DataLayout(LayoutKind.L_LEVELING),
-    "hybrid": DataLayout(LayoutKind.HYBRID, ("tiered", "leveled")),
-    "hybrid_lt": DataLayout(LayoutKind.HYBRID, ("leveled", "tiered")),
-}
-GRANULARITIES = {
-    "level": Granularity(GranularityKind.LEVEL),
-    "sorted_run": Granularity(GranularityKind.SORTED_RUN),
-    "file": Granularity(GranularityKind.FILE),
-    "files3": Granularity(GranularityKind.FILES, 3),
-}
-_LO1 = MovementPolicy.LEAST_OVERLAP_PARENT
-CHAINS = {
-    "full": (MovementPolicy.ENTIRE_LEVEL,),
-    "rr": (MovementPolicy.ROUND_ROBIN,),
-    "lo1": (_LO1,),
-    "lo2": (MovementPolicy.LEAST_OVERLAP_GRANDPARENT,),
-    "cold": (MovementPolicy.COLDEST,),
-    "old": (MovementPolicy.OLDEST,),
-    "ts>lo1": (MovementPolicy.MOST_TOMBSTONES, _LO1),
-    "ttl>lo1": (MovementPolicy.EXPIRED_TOMBSTONE_TTL, _LO1),
-}
+# the names of each axis; "stale:300" is rewritten to the probe's staleness
+TRIGGER_SETS = ("sat", "runs", "runs+sat", "runs+sa", "stale:300+sat", "ttl+sat", "dens+sat")
+LAYOUTS = ("leveling", "tiering", "one_leveling", "l_leveling", "hybrid:tl", "hybrid:lt")
+GRANULARITIES = ("level", "sorted_run", "file", "files:3")
+CHAINS = ("full", "rr", "lo1", "lo2", "cold", "old", "ts>lo1", "ttl>lo1")
 
 GRID = tuple(
     "/".join(parts) for parts in itertools.product(TRIGGER_SETS, LAYOUTS, GRANULARITIES, CHAINS)
@@ -89,37 +47,26 @@ GRID = tuple(
 SUBSET = tuple(
     dict.fromkeys(
         [
-            f"{trig}/{list(LAYOUTS)[i % 5]}/{list(GRANULARITIES)[(i + i // 8) % 4]}/{chain}"
+            f"{trig}/{LAYOUTS[i % 5]}/{GRANULARITIES[(i + i // 8) % 4]}/{chain}"
             for i, (trig, chain) in enumerate(itertools.product(TRIGGER_SETS, CHAINS))
         ]
         + [
             "dens+sat/leveling/file/lo1",
             "dens+sat/one_leveling/file/cold",
-            "dens+sat/leveling/files3/ttl>lo1",
-            "stale+sat/leveling/file/ts>lo1",
+            "dens+sat/leveling/files:3/ttl>lo1",
+            "stale:300+sat/leveling/file/ts>lo1",
             "ttl+sat/leveling/file/lo1",
-            "stale+sat/leveling/files3/ttl>lo1",
-            "stale+sat/one_leveling/files3/cold",
-            "sat/hybrid_lt/files3/rr",
-            "sat/hybrid_lt/files3/lo2",
-            "sat/hybrid_lt/files3/ts>lo1",
-            "runs+sat/hybrid_lt/files3/rr",
-            "runs+sat/hybrid_lt/files3/lo2",
-            "runs+sat/hybrid_lt/files3/ts>lo1",
+            "stale:300+sat/leveling/files:3/ttl>lo1",
+            "stale:300+sat/one_leveling/files:3/cold",
+            "sat/hybrid:lt/files:3/rr",
+            "sat/hybrid:lt/files:3/lo2",
+            "sat/hybrid:lt/files:3/ts>lo1",
+            "runs+sat/hybrid:lt/files:3/rr",
+            "runs+sat/hybrid:lt/files:3/lo2",
+            "runs+sat/hybrid:lt/files:3/ts>lo1",
         ]
     )
 )
-
-
-def strategy(name: str, staleness: float) -> CompactionStrategy:
-    trig, layout, gran, chain = name.split("/")
-    return CompactionStrategy(
-        name=name,
-        triggers=_trigger_sets(staleness)[trig],
-        layout=LAYOUTS[layout],
-        granularity=GRANULARITIES[gran],
-        movement=CHAINS[chain],
-    )
 
 
 def _key(i: int) -> bytes:
@@ -137,9 +84,9 @@ def _verify(engine: LsmEngine, oracle: dict[bytes, bytes], when: str) -> None:
         raise AssertionError(f"{when}: range scan differs from the oracle")
 
 
-def check(name: str, directory: str, staleness: float, d_th: int, seed: int) -> None:
-    """Replay the probe on one ensemble; raises on the first fault."""
-    cfg = TreeConfig(
+def tree_config(d_th: int) -> TreeConfig:
+    """The probe's tree: size ratio 3 and 8-entry buffers."""
+    return TreeConfig(
         size_ratio=3,
         buffer_bytes=512,
         page_bytes=256,
@@ -147,18 +94,30 @@ def check(name: str, directory: str, staleness: float, d_th: int, seed: int) -> 
         block_cache_bytes=4096,
         delete_persistence_threshold=d_th,
     )
-    ensemble = strategy(name, staleness)
+
+
+def probe_ops(seed: int):
+    """The probe's 1,500 writes over 600 keys as (key, value) pairs; the
+    value is None for a delete."""
     rng = random.Random(seed)
+    for i in range(1500):
+        k = _key(rng.randrange(600))
+        yield k, None if rng.random() < 0.25 else b"v%d" % i
+
+
+def check(name: str, directory: str, staleness: float, d_th: int, seed: int) -> None:
+    """Replay the probe on one ensemble; raises on the first fault."""
+    cfg = tree_config(d_th)
+    ensemble = parse_ensemble(re.sub(r"stale:[^+/]*", f"stale:{staleness:g}", name))
     oracle: dict[bytes, bytes] = {}
     with LsmEngine(directory, cfg, ensemble, debug_checks=True) as engine:
-        for i in range(1500):
-            k = _key(rng.randrange(600))
-            if rng.random() < 0.25:
+        for k, v in probe_ops(seed):
+            if v is None:
                 engine.delete(k)
                 oracle.pop(k, None)
             else:
-                oracle[k] = b"v%d" % i
-                engine.put(k, oracle[k])
+                oracle[k] = v
+                engine.put(k, v)
         engine.quiesce()
         _verify(engine, oracle, "before reopen")
     with LsmEngine(directory, cfg, ensemble, debug_checks=True) as engine:

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import ensembles
 from lsmclab.cli import CSV_COLUMNS, CSV_VERSION, main
 
 
@@ -108,48 +109,47 @@ def test_unknown_option_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "section, option",
-    [("[run]\nwall_clock = true\n", "wall_clock"), ("[strategy]\nmovment = lo1\n", "movment")],
+    "section, args, option",
+    [
+        ("[run]\nwall_clock = true\n", [], "wall_clock"),
+        ("", ["--strategy", "sat/leveling/file/movment"], "movment"),
+    ],
     ids=["run", "strategy"],
 )
-def test_unknown_run_or_strategy_option_exits_2(tmp_path, capsys, section, option):
+def test_unknown_run_or_strategy_option_exits_2(tmp_path, capsys, section, args, option):
     cfg = write_config(tmp_path, SMALL + "\n" + section)
-    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o"), *args]) == 2
     assert repr(option) in capsys.readouterr().err
 
 
 def test_explicit_strategy_section(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        SMALL
-        + """
-[strategy]
-name = custom-tier
-triggers = sorted_run_count:3, space_amp:0.5
-layout = tiering
-granularity = sorted_run
-movement = entire_level
-""",
-    )
+    cfg = write_config(tmp_path, SMALL)
     out = str(tmp_path / "out")
-    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    name = "runs:3+sa:0.5/tiering/sorted_run/full"
+    assert run_cli(["run", "--config", cfg, "--strategy", name, "--out", out]) == 0
     with open(os.path.join(out, "report.json")) as fh:
-        assert json.load(fh)[0]["strategy"] == "custom-tier"
+        assert json.load(fh)[0]["strategy"] == name
 
 
 def test_invalid_strategy_section_exits_2(tmp_path):
-    cfg = write_config(
-        tmp_path, SMALL + "\n[strategy]\nmovement = most_tombstones\n"
-    )
-    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    cfg = write_config(tmp_path, SMALL)
+    # a movement chain must end with a policy that never abstains
+    args = ["run", "--config", cfg, "--strategy", "sat/leveling/file/ts"]
+    assert run_cli([*args, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_staleness_without_ttl_exits_2(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, SMALL + "\n[strategy]\ntriggers = file_staleness, level_saturation\n"
-    )
-    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    cfg = write_config(tmp_path, SMALL)
+    args = ["run", "--config", cfg, "--strategy", "stale+sat/leveling/file/lo1"]
+    assert run_cli([*args, "--out", str(tmp_path / "o")]) == 2
     assert "file staleness needs a ttl" in capsys.readouterr().err
+
+
+def test_strategy_section_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL + "\n[strategy]\nmovement = entire_level\n")
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "[run] strategy = <triggers>/<layout>/<granularity>/<chain>" in err
 
 
 def test_gen_and_run_from_file(tmp_path):
@@ -260,6 +260,41 @@ def test_every_preset_metrics_csv_is_pinned(tmp_path):
     assert run_cli(["run", "--config", cfg, "--strategy", strategies, "--out", out]) == 0
     here = os.path.dirname(os.path.abspath(__file__))
     with open(os.path.join(here, "data", "presets.metrics.csv"), "rb") as fh:
+        pinned = fh.read()
+    with open(os.path.join(out, "metrics.csv"), "rb") as fh:
+        assert fh.read() == pinned
+
+
+ENSEMBLES_CONFIG = """
+[engine]
+size_ratio = 3
+buffer_bytes = 512
+page_bytes = 256
+entry_bytes = 64
+block_cache_bytes = 4096
+delete_persistence_threshold = 400
+
+[workload]
+inserts = 300
+update_ratio = 0.5
+delete_fraction = 0.2
+point_lookups = 200
+alpha = 0.5
+range_lookups = 20
+seed = 7
+"""
+
+
+def test_ensemble_subset_metrics_csv_is_pinned(tmp_path):
+    # the ensemble grid's tree geometry; a change to any subset ensemble's
+    # picks shows here, and a change that sets out to make one rewrites
+    # tests/data/ensembles.metrics.csv with this run
+    cfg = write_config(tmp_path, ENSEMBLES_CONFIG)
+    out = str(tmp_path / "out")
+    strategies = ",".join(ensembles.SUBSET)
+    assert run_cli(["run", "--config", cfg, "--strategy", strategies, "--out", out]) == 0
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "data", "ensembles.metrics.csv"), "rb") as fh:
         pinned = fh.read()
     with open(os.path.join(out, "metrics.csv"), "rb") as fh:
         assert fh.read() == pinned

@@ -1,9 +1,10 @@
+import dataclasses
 import re
 
 import pytest
 
 import ensembles
-from lsmclab import LsmEngine, compaction
+from lsmclab import LsmEngine, cli, compaction
 from lsmclab.compaction import (
     CompactionStrategy,
     DataLayout,
@@ -58,6 +59,51 @@ def test_get_strategy_aliases():
     assert get_strategy("1-lvl").name == "1lvl"
     with pytest.raises(InvalidArgument):
         get_strategy("nope")
+
+
+@pytest.mark.parametrize(
+    "preset, ensemble",
+    [
+        ("full", "sat/leveling/level/full"),
+        ("lo1", "sat/leveling/file/lo1"),
+        ("lo2", "sat/leveling/file/lo2"),
+        ("rr", "sat/leveling/file/rr"),
+        ("cold", "sat/leveling/file/cold"),
+        ("old", "sat/leveling/file/old"),
+        ("tsd", "dens+sat/leveling/file/ts>lo1"),
+        ("tsa", "ttl+sat/leveling/file/ttl>lo1"),
+        ("tier", "runs+sa/tiering/sorted_run/full"),
+        ("1lvl", "runs+sat/one_leveling/file/lo1"),
+    ],
+)
+def test_preset_is_its_ensemble(preset, ensemble):
+    assert get_strategy(preset) == dataclasses.replace(get_strategy(ensemble), name=preset)
+
+
+@pytest.mark.parametrize(
+    "name, token, words",
+    [
+        ("sat/leveling/file", "'sat/leveling/file'", "<triggers>/<layout>/<granularity>/<chain>"),
+        ("sat/leveling/file/lo1/x", "'sat/leveling/file/lo1/x'", "full, lo1, lo2"),
+        ("sat/levelling/file/lo1", "'levelling'", "leveling, tiering, one_leveling"),
+        ("sat+sta/leveling/file/lo1", "'sta'", "sat, runs, sa, dens, ttl, stale"),
+        ("sat:high/leveling/file/lo1", "'sat:high'", "sat, runs, sa, dens, ttl, stale"),
+        ("stale:nan+sat/leveling/file/lo1", "'stale:nan'", "sat, runs, sa, dens, ttl, stale"),
+        ("sat/hybrid:tx/file/lo1", "'hybrid:tx'", "leveling, tiering, one_leveling"),
+        ("sat/leveling/files:x/lo1", "'files:x'", "level, sorted_run, file, files"),
+        ("sat/leveling:t/file/lo1", "'leveling:t'", "leveling, tiering, one_leveling"),
+        ("sat/leveling/file/lo1>rr:2", "'rr:2'", "full, rr, lo1, lo2, cold, old, ts, ttl"),
+    ],
+    ids=["three-parts", "five-parts", "unknown-word", "unknown-trigger", "bad-float", "nan",
+         "bad-hybrid-flag", "bad-int", "arg-on-bare-word", "arg-on-policy"],
+)
+def test_bad_ensemble_name_names_its_token(tmp_path, capsys, name, token, words):
+    with pytest.raises(InvalidArgument) as info:
+        get_strategy(name)
+    assert token in str(info.value) and words in str(info.value)
+    assert cli.main(["run", "--strategy", name, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert token in err and words in err
 
 
 def test_strategy_requires_decidable_chain_end():
@@ -379,6 +425,42 @@ def test_round_robin_cursor_advances(tmp_path):
     again = _pick_victims(eng, 1, metas, 1, trig)[0]
     assert again.min_key != first.min_key or len(metas) == 1
     eng.close()
+
+
+def _replay_with_breaks(directory, preset, reopen):
+    """The ensemble grid's probe with a break every 300 writes: a buffer
+    flush, or a close and a reopen. Returns the bytes compaction wrote, the
+    job count and the tree shape."""
+    cfg = ensembles.tree_config(400)
+    engine = LsmEngine(directory, cfg, preset)
+    written = jobs = 0
+    for i, (k, v) in enumerate(ensembles.probe_ops(seed=1), start=1):
+        if v is None:
+            engine.delete(k)
+        else:
+            engine.put(k, v)
+        if i % 300:
+            continue
+        if reopen or i == 1500:
+            engine.close()  # close() flushes, and that flush may compact
+            written += engine.metrics.bytes_compaction_written
+            jobs += engine.metrics.compaction_count
+            if i < 1500:
+                engine = LsmEngine(directory, cfg, preset)
+        elif engine.buffer:
+            engine.flush_buffer()
+    return written, jobs, engine.manifest.snapshot()
+
+
+@pytest.mark.parametrize("preset", ["rr", "lo1"])
+def test_reopen_runs_the_jobs_a_flush_runs(tmp_path, preset):
+    # the round-robin cursor lives in the manifest, so a reopen resumes it
+    flushed = _replay_with_breaks(str(tmp_path / "flush"), preset, reopen=False)
+    reopened = _replay_with_breaks(str(tmp_path / "reopen"), preset, reopen=True)
+    assert reopened == flushed
+    # only a round-robin pick logs a cursor, so other logs are unchanged
+    log = (tmp_path / "reopen" / "MANIFEST.log").read_text()
+    assert ('"rr"' in log) == (preset == "rr")
 
 
 def test_oldest_policy_prefers_lowest_created_tick(tmp_path):
