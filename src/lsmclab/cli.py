@@ -26,6 +26,7 @@ from .config import TreeConfig
 from .costmodel import ModelParams, model_table
 from .engine import LsmEngine
 from .errors import ConfigError, InvalidArgument, InvariantViolation, WorkloadError
+from .metrics import HIST_NAMES
 from .workload import Distribution, WorkloadSpec, generate, parse, serialize
 
 CSV_VERSION = "lsmclab-metrics-v1"
@@ -46,12 +47,15 @@ CSV_COLUMNS = (
     "read_amp",
     "space_amp",
     "tombstones_remaining",
-    *(
-        f"{hist}_{pct}"
-        for hist in ("compaction", "write", "point", "range")
-        for pct in ("p50", "p90", "p99", "p100")
-    ),
+    *(f"{hist}_{pct}" for hist in HIST_NAMES for pct in ("p50", "p90", "p99", "p100")),
 )
+
+# metrics.csv names these report items more briefly
+_CSV_RENAMES = {
+    "pseudo_count": "pseudo_compaction_count",
+    "bytes_read": "bytes_compaction_read",
+    "bytes_written": "bytes_compaction_written",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -71,39 +75,36 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-def _tree_config(cfg: configparser.ConfigParser) -> TreeConfig:
-    if not cfg.has_section("engine"):
-        return TreeConfig()
-    section = cfg["engine"]
-    keys = {
-        "size_ratio": int,
-        "buffer_bytes": int,
-        "page_bytes": int,
-        "entry_bytes": int,
-        "bits_per_key": float,
-        "block_cache_bytes": int,
-        "file_bytes": int,
-        "delete_persistence_threshold": int,
-    }
-    kwargs = {}
-    for key, cast in keys.items():
-        if key in section:
-            try:
-                kwargs[key] = cast(section[key])
-            except ValueError as exc:
-                raise ConfigError(f"engine.{key}: {exc}") from exc
-    _check_keys(cfg, "engine", tuple(keys))
+def _section(cfg: configparser.ConfigParser, name: str, casts: dict, make=dict):
+    """``make(**values)`` over config section ``name``, each value cast by
+    ``casts[key]``; an unknown key, a value that does not cast and values
+    ``make`` rejects are config errors that name the section and the key."""
+    section = cfg[name] if cfg.has_section(name) else {}
+    values = {}
+    for key, text in section.items():
+        if key not in casts:
+            raise ConfigError(f"unknown {name} option {key!r}")
+        try:
+            values[key] = casts[key](text)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{name}.{key}: {exc}") from exc
     try:
-        return TreeConfig(**kwargs)
-    except InvalidArgument as exc:
-        raise ConfigError(str(exc)) from exc
+        return make(**values)
+    except (ConfigError, InvalidArgument, WorkloadError) as exc:
+        given = ", ".join(f"{key} = {text}" for key, text in section.items()) or "defaults"
+        raise ConfigError(f"[{name}] {given}: {exc}") from exc
 
 
-def _check_keys(cfg: configparser.ConfigParser, name: str, known: tuple[str, ...]) -> None:
-    if cfg.has_section(name):
-        for key in cfg[name]:
-            if key not in known:
-                raise ConfigError(f"unknown {name} option {key!r}")
+_ENGINE_KEYS = {
+    "size_ratio": int,
+    "buffer_bytes": int,
+    "page_bytes": int,
+    "entry_bytes": int,
+    "bits_per_key": float,
+    "block_cache_bytes": int,
+    "file_bytes": int,
+    "delete_persistence_threshold": int,
+}
 
 
 def _distribution(text: str) -> Distribution:
@@ -128,54 +129,42 @@ def _distribution(text: str) -> Distribution:
     raise ConfigError(f"unknown distribution {text!r}")
 
 
-def _workload_spec(
-    cfg: configparser.ConfigParser, tree: TreeConfig, seed: int | None
-) -> WorkloadSpec:
-    section = cfg["workload"] if cfg.has_section("workload") else {}
-    casts = {
-        "inserts": int,
-        "update_ratio": float,
-        "delete_fraction": float,
-        "point_lookups": int,
-        "alpha": float,
-        "range_lookups": int,
-        "selectivity": float,
-        "entry_bytes": int,
-        "key_bytes": int,
-        "interleaving": str,
-        "seed": int,
-    }
-    kwargs: dict = {"inserts": 1000}
-    for key, cast in casts.items():
-        if key in section:
-            try:
-                kwargs[key] = cast(section[key])
-            except ValueError as exc:
-                raise ConfigError(f"workload.{key}: {exc}") from exc
-    for key in ("insert_dist", "lookup_dist"):
-        if key in section:
-            kwargs[key] = _distribution(section[key])
-    _check_keys(cfg, "workload", (*casts, "insert_dist", "lookup_dist", "file"))
-    if seed is not None:
-        kwargs["seed"] = seed
-    kwargs.setdefault("entry_bytes", tree.entry_bytes)
-    kwargs["buffer_entries"] = tree.entries_per_buffer
-    kwargs["size_ratio"] = tree.size_ratio
-    try:
-        return WorkloadSpec(**kwargs)
-    except WorkloadError as exc:
-        raise ConfigError(str(exc)) from exc
+_WORKLOAD_KEYS = {
+    "inserts": int,
+    "update_ratio": float,
+    "delete_fraction": float,
+    "point_lookups": int,
+    "alpha": float,
+    "range_lookups": int,
+    "selectivity": float,
+    "entry_bytes": int,
+    "key_bytes": int,
+    "interleaving": str,
+    "seed": int,
+    "insert_dist": _distribution,
+    "lookup_dist": _distribution,
+    "file": str,  # a workload file replaces the generated workload
+}
 
 
-def _strategies(cfg: configparser.ConfigParser, override: str | None) -> list[CompactionStrategy]:
+def _workload_spec(cfg, tree: TreeConfig, seed: int | None) -> WorkloadSpec:
+    def spec(file=None, **kwargs) -> WorkloadSpec:  # _workload_ops replays a file
+        kwargs = {"inserts": 1000, "entry_bytes": tree.entry_bytes, **kwargs}
+        if seed is not None:
+            kwargs["seed"] = seed
+        return WorkloadSpec(
+            **kwargs, buffer_entries=tree.entries_per_buffer, size_ratio=tree.size_ratio
+        )
+
+    return _section(cfg, "workload", _WORKLOAD_KEYS, spec)
+
+
+def _strategies(cfg: configparser.ConfigParser, names: str) -> list[CompactionStrategy]:
     if cfg.has_section("strategy"):
         raise ConfigError(
             "the [strategy] section is gone; name the ensemble instead: "
             "[run] strategy = <triggers>/<layout>/<granularity>/<chain>"
         )
-    names = override
-    if names is None:
-        names = cfg.get("run", "strategy", fallback="full")
     out = []
     for name in names.split(","):
         try:
@@ -198,9 +187,8 @@ def _out_dir(args) -> str:
 
 
 def _workload_ops(cfg, tree, seed):
-    section = cfg["workload"] if cfg.has_section("workload") else {}
-    if "file" in section:
-        path = section["file"]
+    path = _section(cfg, "workload", _WORKLOAD_KEYS).get("file")
+    if path is not None:
         digest = hashlib.sha256()
         with open(path, "rb") as fh:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -230,7 +218,6 @@ def _replay(engine: LsmEngine, ops) -> dict[str, int]:
 
 
 def _csv_row(strategy, seed, counts, spec, report) -> list[str]:
-    flat = report.to_dict()
     values = {
         "strategy": strategy,
         "seed": seed,
@@ -239,19 +226,12 @@ def _csv_row(strategy, seed, counts, spec, report) -> list[str]:
         "deletes": counts["D"],
         "alpha": spec.alpha if spec else "",
         "selectivity": spec.selectivity if spec else "",
-        "compaction_count": flat["compaction_count"],
-        "pseudo_count": flat["pseudo_compaction_count"],
-        "bytes_read": flat["bytes_compaction_read"],
-        "bytes_written": flat["bytes_compaction_written"],
-        "write_amp": flat["write_amp"],
-        "read_amp": flat["read_amp"],
-        "space_amp": flat["space_amp"],
-        "tombstones_remaining": flat["tombstones_remaining"],
     }
-    for hist in ("compaction", "write", "point", "range"):
-        for pct in ("p50", "p90", "p99", "p100"):
-            values[f"{hist}_{pct}"] = flat[f"{hist}_{pct}"]
-    return [str(values[col]) for col in CSV_COLUMNS]
+    flat = report.to_dict()
+    return [
+        str(values[col] if col in values else flat[_CSV_RENAMES.get(col, col)])
+        for col in CSV_COLUMNS
+    ]
 
 
 def _dump_manifest(engine: LsmEngine) -> str:
@@ -269,14 +249,16 @@ def _dump_manifest(engine: LsmEngine) -> str:
 
 def cmd_run(args) -> int:
     cfg = _read_config(args.config)
-    tree = _tree_config(cfg)
+    tree = _section(cfg, "engine", _ENGINE_KEYS, TreeConfig)
     out = _out_dir(args)
-    _check_keys(cfg, "run", ("repetitions", "seed", "strategy"))
-    repetitions = cfg.getint("run", "repetitions", fallback=1)
-    strategies = _strategies(cfg, args.strategy)
+    run = _section(cfg, "run", {"repetitions": int, "seed": int, "strategy": str})
+    repetitions = run.get("repetitions", 1)
+    if repetitions < 1:
+        raise ConfigError(f"[run] repetitions = {repetitions}: must be at least 1")
+    strategies = _strategies(cfg, args.strategy or run.get("strategy", "full"))
     base_seed = args.seed
     if base_seed is None:
-        base_seed = cfg.getint("run", "seed", fallback=cfg.getint("workload", "seed", fallback=0))
+        base_seed = run.get("seed", _section(cfg, "workload", _WORKLOAD_KEYS).get("seed", 0))
 
     rows = []
     reports = []
@@ -321,13 +303,7 @@ def cmd_run(args) -> int:
 # compare
 
 
-_RANK_METRICS = (
-    ("write_amp", "write_amp"),
-    ("read_amp", "read_amp"),
-    ("space_amp", "space_amp"),
-    ("write_p100", "write_p100"),
-    ("tombstones_remaining", "tombstones_remaining"),
-)
+_RANK_METRICS = ("write_amp", "read_amp", "space_amp", "write_p100", "tombstones_remaining")
 
 
 def cmd_compare(args) -> int:
@@ -346,24 +322,22 @@ def cmd_compare(args) -> int:
 
     scores: dict[str, dict[str, float]] = {}
     for entry in entries:
-        scores[entry["strategy"]] = {
-            label: float(entry["metrics"][key]) for label, key in _RANK_METRICS
-        }
+        scores[entry["strategy"]] = {m: float(entry["metrics"][m]) for m in _RANK_METRICS}
     print(f"{'metric':<22}" + "".join(f"{name:>14}" for name in scores))
-    for label, _key in _RANK_METRICS:
-        row = [scores[name][label] for name in scores]
-        print(f"{label:<22}" + "".join(f"{v:>14.4f}" for v in row))
+    for metric in _RANK_METRICS:
+        row = [scores[name][metric] for name in scores]
+        print(f"{metric:<22}" + "".join(f"{v:>14.4f}" for v in row))
     print()
     names = list(scores)
-    for label, _key in _RANK_METRICS:
-        ranked = sorted(names, key=lambda n: scores[n][label])
-        print(f"ranking {label}: " + " <= ".join(ranked))
+    for metric in _RANK_METRICS:
+        ranked = sorted(names, key=lambda n: scores[n][metric])
+        print(f"ranking {metric}: " + " <= ".join(ranked))
     dominated = []
     for a in names:
         for b in names:
             if a == b:
                 continue
-            pairs = [(scores[a][m], scores[b][m]) for m, _ in _RANK_METRICS]
+            pairs = [(scores[a][m], scores[b][m]) for m in _RANK_METRICS]
             if all(x >= y for x, y in pairs) and any(x > y for x, y in pairs):
                 dominated.append((a, b))
                 break
@@ -378,28 +352,33 @@ def cmd_compare(args) -> int:
 
 def cmd_model(args) -> int:
     cfg = _read_config(args.config)
-    tree = _tree_config(cfg)
-    _check_keys(cfg, "model", ("n", "selectivity", "lambda", "ingest_rate"))
-    section = cfg["model"] if cfg.has_section("model") else {}
-    params = ModelParams(
-        n_entries=int(section.get("n", args.n)),
-        pages_per_buffer=tree.pages_per_buffer,
-        entries_per_page=tree.entries_per_page,
-        size_ratio=tree.size_ratio,
-        bits_per_key=tree.bits_per_key,
-        selectivity=float(section.get("selectivity", 0.01)),
-        tombstone_size_ratio=float(section.get("lambda", 0.5)),
-        ingest_rate=float(section.get("ingest_rate", 1.0)),
-    )
+    tree = _section(cfg, "engine", _ENGINE_KEYS, TreeConfig)
+
+    def table(**values) -> list[tuple[str, float, float]]:
+        return model_table(
+            ModelParams(
+                n_entries=values.get("n", args.n),
+                pages_per_buffer=tree.pages_per_buffer,
+                entries_per_page=tree.entries_per_page,
+                size_ratio=tree.size_ratio,
+                bits_per_key=tree.bits_per_key,
+                selectivity=values.get("selectivity", 0.01),
+                tombstone_size_ratio=values.get("lambda", 0.5),
+                ingest_rate=values.get("ingest_rate", 1.0),
+            )
+        )
+
+    keys = {"n": int, "selectivity": float, "lambda": float, "ingest_rate": float}
+    rows = _section(cfg, "model", keys, table)
     print(f"{'metric':<28}{'leveling':>16}{'tiering':>16}")
-    for metric, lev, tier in model_table(params):
+    for metric, lev, tier in rows:
         print(f"{metric:<28}{lev:>16.6f}{tier:>16.6f}")
     return 0
 
 
 def cmd_gen(args) -> int:
     cfg = _read_config(args.config)
-    tree = _tree_config(cfg)
+    tree = _section(cfg, "engine", _ENGINE_KEYS, TreeConfig)
     out = _out_dir(args)
     spec = _workload_spec(cfg, tree, args.seed)
     path = os.path.join(out, "workload.txt")

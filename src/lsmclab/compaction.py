@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -445,96 +446,70 @@ def _overlapping(engine, low: bytes, high: bytes, level_no: int) -> list[SortedF
     ]
 
 
-def _overlap_bytes(engine, min_key: bytes, max_key: bytes, level_no: int) -> int:
-    return sum(m.data_bytes(engine.cfg) for m in _overlapping(engine, min_key, max_key, level_no))
+def _overlap_bytes(engine, meta: SortedFileMeta, level_no: int) -> int:
+    """The bytes of level ``level_no`` that the file ``meta`` overlaps."""
+    overlapping = _overlapping(engine, meta.min_key, meta.max_key, level_no)
+    return sum(m.entry_count for m in overlapping) * engine.cfg.entry_bytes
+
+
+# Each movement policy's sort key for a file ``m`` of level ``lvl``; the
+# first file in key order is picked first.
+_SORT_KEYS = {
+    MovementPolicy.ENTIRE_LEVEL: lambda eng, lvl, m: (m.min_key, m.file_id),
+    MovementPolicy.ROUND_ROBIN: lambda eng, lvl, m: (m.min_key, m.file_id),
+    MovementPolicy.LEAST_OVERLAP_PARENT: lambda eng, lvl, m: (
+        _overlap_bytes(eng, m, lvl + 1), m.min_key, m.file_id
+    ),
+    # (parent + grandparent overlap bytes) per victim byte: the parent
+    # bytes this merge rewrites now plus the grandparent bytes its output
+    # meets one level down, per byte moved, as RocksDB's
+    # kMinOverlappingRatio does one level deeper. Grandparent bytes
+    # first, parent bytes only on ties, ignores the merge paid now:
+    # once the grandparent covers the key space it picks narrow victims
+    # with large parent merges and moves more than LO+1.
+    MovementPolicy.LEAST_OVERLAP_GRANDPARENT: lambda eng, lvl, m: (
+        (_overlap_bytes(eng, m, lvl + 1) + _overlap_bytes(eng, m, lvl + 2))
+        / m.data_bytes(eng.cfg),
+        m.min_key,
+        m.file_id,
+    ),
+    # ties are the common case after an in-place level rewrite stamps
+    # every file with the same tick; break them toward the cheapest
+    # merge or the leftmost pick degenerates into rewriting the parent
+    MovementPolicy.COLDEST: lambda eng, lvl, m: (
+        -(eng.manifest.logical_tick - m.last_access_tick),
+        _overlap_bytes(eng, m, lvl + 1),
+        m.min_key,
+        m.file_id,
+    ),
+    MovementPolicy.OLDEST: lambda eng, lvl, m: (
+        m.created_tick, _overlap_bytes(eng, m, lvl + 1), m.min_key, m.file_id
+    ),
+    MovementPolicy.MOST_TOMBSTONES: lambda eng, lvl, m: (
+        -(m.tombstone_count / m.entry_count), m.min_key, m.file_id
+    ),
+    MovementPolicy.EXPIRED_TOMBSTONE_TTL: lambda eng, lvl, m: (m.oldest_tombstone_tick, m.file_id),
+}
 
 
 def _rank_candidates(
     engine, level_no: int, metas: list[SortedFileMeta], policy: MovementPolicy, trigger: Trigger
 ) -> list[SortedFileMeta] | None:
     """Candidates in pick order for one policy; None means the policy abstains."""
-    man = engine.manifest
-    now = man.logical_tick
-    if policy is MovementPolicy.ENTIRE_LEVEL:
-        return sorted(metas, key=lambda m: (m.min_key, m.file_id))
-    if policy is MovementPolicy.ROUND_ROBIN:
-        ordered = sorted(metas, key=lambda m: (m.min_key, m.file_id))
-        cursor = engine.rr_cursors.get(level_no)
-        if cursor is not None:
-            after = [m for m in ordered if m.min_key > cursor]
-            ordered = after + [m for m in ordered if m.min_key <= cursor]
-        return ordered
-    if policy is MovementPolicy.LEAST_OVERLAP_PARENT:
-        return sorted(
-            metas,
-            key=lambda m: (
-                _overlap_bytes(engine, m.min_key, m.max_key, level_no + 1),
-                m.min_key,
-                m.file_id,
-            ),
-        )
-    if policy is MovementPolicy.LEAST_OVERLAP_GRANDPARENT:
-        # (parent + grandparent overlap bytes) per victim byte: the parent
-        # bytes this merge rewrites now plus the grandparent bytes its output
-        # meets one level down, per byte moved, as RocksDB's
-        # kMinOverlappingRatio does one level deeper. Grandparent bytes
-        # first, parent bytes only on ties, ignores the merge paid now:
-        # once the grandparent covers the key space it picks narrow victims
-        # with large parent merges and moves more than LO+1.
-        return sorted(
-            metas,
-            key=lambda m: (
-                (
-                    _overlap_bytes(engine, m.min_key, m.max_key, level_no + 1)
-                    + _overlap_bytes(engine, m.min_key, m.max_key, level_no + 2)
-                )
-                / m.data_bytes(engine.cfg),
-                m.min_key,
-                m.file_id,
-            ),
-        )
-    if policy is MovementPolicy.COLDEST:
-        # ties are the common case after an in-place level rewrite stamps
-        # every file with the same tick; break them toward the cheapest
-        # merge or the leftmost pick degenerates into rewriting the parent
-        return sorted(
-            metas,
-            key=lambda m: (
-                -(now - m.last_access_tick),
-                _overlap_bytes(engine, m.min_key, m.max_key, level_no + 1),
-                m.min_key,
-                m.file_id,
-            ),
-        )
-    if policy is MovementPolicy.OLDEST:
-        return sorted(
-            metas,
-            key=lambda m: (
-                m.created_tick,
-                _overlap_bytes(engine, m.min_key, m.max_key, level_no + 1),
-                m.min_key,
-                m.file_id,
-            ),
-        )
+    # the tombstone policies rank only the files they apply to, else abstain
     if policy is MovementPolicy.MOST_TOMBSTONES:
-        with_ts = [m for m in metas if m.tombstone_count]
-        if not with_ts:
-            return None
-        return sorted(
-            with_ts,
-            key=lambda m: (
-                -(m.tombstone_count / m.entry_count),
-                m.min_key,
-                m.file_id,
-            ),
-        )
-    if policy is MovementPolicy.EXPIRED_TOMBSTONE_TTL:
+        metas = [m for m in metas if m.tombstone_count] or None
+    elif policy is MovementPolicy.EXPIRED_TOMBSTONE_TTL:
         d_th = trigger.value if trigger.kind is TriggerKind.TOMBSTONE_TTL else None
-        expired = _expired(engine, metas, level_no, d_th)
-        if not expired:
-            return None
-        return sorted(expired, key=lambda m: (m.oldest_tombstone_tick, m.file_id))
-    raise InvariantViolation(f"unhandled movement policy {policy}")
+        metas = _expired(engine, metas, level_no, d_th) or None
+    if metas is None:
+        return None
+    ordered = sorted(metas, key=partial(_SORT_KEYS[policy], engine, level_no))
+    cursor = engine.rr_cursors.get(level_no)
+    if policy is MovementPolicy.ROUND_ROBIN and cursor is not None:
+        after = [m for m in ordered if m.min_key > cursor]
+        ordered = after + [m for m in ordered if m.min_key <= cursor]
+    return ordered
 
 
 def _pick_victims(
@@ -603,6 +578,10 @@ def select_compaction(engine, level_no: int, trigger: Trigger) -> CompactionJob:
         )
 
     if tiered:
+        if file_scoped and level_no == deepest:
+            # merge the level's runs in place, as a leveled bottom rewrites
+            # its victims in place, rather than dig a new level below it
+            return job(metas, level_no, [], ADD_NEW_RUN, covers_target=True)
         # merge all sorted runs of the level into the next level
         if target_tiered:
             return job(metas, level_no + 1, [], ADD_NEW_RUN, covers_target=False)

@@ -27,7 +27,6 @@ class ModelParams:
     selectivity: float = 0.0
     tombstone_size_ratio: float = 0.5  # lambda: tombstone / avg entry size
     ingest_rate: float = 1.0  # unique entries per tick
-    leveled_levels: int = 0  # l in an l-leveled hybrid
 
     def __post_init__(self) -> None:
         if min(self.n_entries, self.pages_per_buffer, self.entries_per_page) <= 0:

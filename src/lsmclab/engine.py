@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compaction
-from .bloom import BloomFilter
 from .cache import BlockCache
 from .compaction import CompactionStrategy, get_strategy
 from .config import ENTRY_HEADER_BYTES, TreeConfig
@@ -258,14 +257,6 @@ class LsmEngine:
     def _pages_of(self, nbytes: int) -> int:
         return max(1, math.ceil(nbytes / self.cfg.page_bytes))
 
-    def _load_filter(self, meta: SortedFileMeta) -> BloomFilter:
-        """A filter cache miss: cache the reader's filter (parsed on its first
-        use), then charge its pages, so a failed read charges nothing."""
-        filt = self.reader(meta.file_id).bloom_filter
-        self.cache.put((meta.file_id, "filter", 0), filt, meta.filter_len)
-        self.metrics.add_io_pages(self._pages_of(meta.filter_len))
-        return filt
-
     def _fences_for(self, meta: SortedFileMeta) -> tuple[list[bytes], int]:
         """Returns (fence first-keys, io_pages_charged)."""
         key = (meta.file_id, "index", 0)
@@ -309,21 +300,6 @@ class LsmEngine:
             page, key, self.cfg.entry_bytes, self._page_entry_count(meta, page_no)
         )
 
-    def file_get(self, file_id: int, key: bytes) -> tuple[Entry | None, int]:
-        """Probe one live file; returns (entry or None, io pages charged)."""
-        meta = self.manifest.files.get(file_id)
-        if meta is None:
-            raise InvariantViolation(f"file_get on dead file {file_id}")
-        before = self.metrics.io_pages
-        entry = None
-        if meta.min_key <= key <= meta.max_key:
-            filt = self.cache.get((meta.file_id, "filter", 0))
-            if filt is None:
-                filt = self._load_filter(meta)
-            if filt.might_contain(key):
-                entry = self._probe_page(meta, key, LookupResult(None))
-        return entry, self.metrics.io_pages - before
-
     def point_lookup(self, key: bytes) -> LookupResult:
         if not key:
             raise InvalidArgument("key must be non-empty")
@@ -354,7 +330,11 @@ class LsmEngine:
             result.filter_probes += 1
             filt = cache_get((meta.file_id, "filter", 0))
             if filt is None:
-                filt = self._load_filter(meta)
+                # cache the reader's filter (parsed on its first use), then
+                # charge its pages, so a failed read charges nothing
+                filt = self.reader(meta.file_id).bloom_filter
+                self.cache.put((meta.file_id, "filter", 0), filt, meta.filter_len)
+                self.metrics.add_io_pages(self._pages_of(meta.filter_len))
                 result.filter_blocks_read += 1
             if not filt.might_contain(key, probes):
                 continue

@@ -30,12 +30,6 @@ class Histogram:
     def add(self, value: float) -> None:
         self.values.append(value)
 
-    def percentile(self, pct: float) -> float:
-        return _nearest_rank(sorted(self.values), pct)
-
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else 0.0
-
     def summary(self) -> dict[str, float]:
         ordered = sorted(self.values)
         # the mean sums in sorted order, which fixes report.json's last digits
@@ -63,12 +57,6 @@ class MetricsReport:
     histograms: dict[str, dict[str, float]]
     cache_hits: dict[str, int]
     cache_misses: dict[str, int]
-
-    def to_kv_text(self) -> str:
-        lines = []
-        for name, value in self.flat_items():
-            lines.append(f"{name}={value}")
-        return "\n".join(lines) + "\n"
 
     def flat_items(self) -> list[tuple[str, object]]:
         items: list[tuple[str, object]] = [

@@ -6,8 +6,9 @@ An ensemble is named ``triggers/layout/granularity/chain``, for example
 builds it; this module holds only the names. The full grid is 7 trigger
 sets x 6 layouts x 4 granularities x 8 movement chains = 1,344 ensembles.
 Each replays 1,500 puts and deletes over 600 keys on a tree of size ratio 3
-with 8-entry buffers and ``debug_checks=True``, drains its triggers, and
-must then match the oracle both before and after a reopen. The names carry
+with 8-entry buffers and ``debug_checks=True``, drains its triggers, must
+end at most 8 levels deep, and must match the oracle both before and after
+a reopen. The names carry
 ``stale:300``; ``--staleness`` replaces that argument.
 
 ``tests/test_compaction.py`` runs a covering subset (``SUBSET``), and
@@ -119,6 +120,11 @@ def check(name: str, directory: str, staleness: float, d_th: int, seed: int) -> 
                 oracle[k] = v
                 engine.put(k, v)
         engine.quiesce()
+        # the probe's data fills about 4 levels at size ratio 3, and no
+        # ensemble of the grid ends deeper than 6; a deeper tree means jobs
+        # pushed data into levels it does not need
+        if engine.manifest.level_count() > 8:
+            raise AssertionError(f"{engine.manifest.level_count()} levels after quiesce")
         _verify(engine, oracle, "before reopen")
     with LsmEngine(directory, cfg, ensemble, debug_checks=True) as engine:
         engine.manifest.check()

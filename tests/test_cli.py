@@ -96,6 +96,35 @@ def test_bad_config_exits_2(tmp_path):
     assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, section, named",
+    [
+        ("model", "[model]\nn = abc\n", "model.n:"),
+        ("model", "[model]\nselectivity = x\n", "model.selectivity:"),
+        ("model", "[model]\nn = 0\n", "[model] n = 0:"),
+        ("model", "[model]\ningest_rate = 0\n", "[model] ingest_rate = 0:"),
+        ("run", "[run]\nrepetitions = two\n", "run.repetitions:"),
+        ("run", "[run]\nrepetitions = 0\n", "[run] repetitions = 0:"),
+        ("run", "[run]\nseed = x\n", "run.seed:"),
+    ],
+    ids=[
+        "n-abc",
+        "selectivity-x",
+        "n-0",
+        "ingest_rate-0",
+        "repetitions-two",
+        "repetitions-0",
+        "seed-x",
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, command, section, named):
+    # a value that does not parse or is out of range is a config error that
+    # names its section and key, like an unknown key
+    cfg = write_config(tmp_path, SMALL + "\n" + section)
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_unknown_strategy_exits_2(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     assert run_cli(

@@ -102,18 +102,6 @@ def test_reopen_recovers_disk_state(tmp_path, cfg):
     clone.close()
 
 
-def test_file_get_probes_one_file(engine, cfg):
-    fids = None
-    fill(engine, cfg.entries_per_buffer - 1)
-    engine.put(key((cfg.entries_per_buffer - 1) * 2), b"last")
-    fids = [fid for run in engine.manifest.snapshot()[0] for fid in run]
-    present, pages = engine.file_get(fids[0], engine.manifest.files[fids[0]].min_key)
-    assert present is not None and present[2] == PUT
-    assert pages >= 1
-    absent, _ = engine.file_get(fids[0], key(1))
-    assert absent is None
-
-
 def test_lookup_result_counters(tmp_path):
     cfg = small_config(block_cache_bytes=0)
     eng = LsmEngine(str(tmp_path), cfg, "lo1")

@@ -1,27 +1,28 @@
 import pytest
 
-from lsmclab.metrics import HIST_NAMES, Histogram, MetricsCollector
+from lsmclab.metrics import HIST_NAMES, Histogram, MetricsCollector, _nearest_rank
 
 
 def test_percentiles_nearest_rank():
     hist = Histogram()
     for v in range(1, 101):
         hist.add(float(v))
-    assert hist.percentile(50) == 50.0
-    assert hist.percentile(90) == 90.0
-    assert hist.percentile(99) == 99.0
-    assert hist.percentile(100) == 100.0
-    assert hist.percentile(1) == 1.0
+    summary = hist.summary()
+    assert summary["p50"] == 50.0
+    assert summary["p90"] == 90.0
+    assert summary["p99"] == 99.0
+    assert summary["p100"] == 100.0
+    assert _nearest_rank(sorted(hist.values), 1) == 1.0
 
 
 def test_percentile_small_samples():
     hist = Histogram()
     hist.add(7.0)
-    assert hist.percentile(50) == 7.0
-    assert hist.percentile(99) == 7.0
-    empty = Histogram()
-    assert empty.percentile(50) == 0.0
-    assert empty.mean() == 0.0
+    assert hist.summary()["p50"] == 7.0
+    assert hist.summary()["p99"] == 7.0
+    empty = Histogram().summary()
+    assert empty["p50"] == 0.0
+    assert empty["mean"] == 0.0
 
 
 def test_summary_keys():
@@ -79,5 +80,3 @@ def test_report_flat_items_are_stable():
     for hist in HIST_NAMES:
         assert f"{hist}_p99" in names
     assert report.to_dict()["tombstones_remaining"] == 3
-    text = report.to_kv_text()
-    assert "space_amp=0.5" in text
