@@ -190,9 +190,12 @@ def _workload_ops(cfg, tree, seed):
     path = _section(cfg, "workload", _WORKLOAD_KEYS).get("file")
     if path is not None:
         digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
+        try:
+            with open(path, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(chunk)
+        except OSError as exc:
+            raise ConfigError(f"workload.file: cannot read {path}: {exc}") from exc
         return list(parse(path)), digest.hexdigest(), None
     spec = _workload_spec(cfg, tree, seed)
     ops = generate(spec)

@@ -10,6 +10,7 @@ presets are such names for the common production designs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -436,13 +437,13 @@ def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
 
 
 def _overlapping(engine, low: bytes, high: bytes, level_no: int) -> list[SortedFileMeta]:
-    """The files of one level that overlap the closed key range [low, high]."""
-    files = engine.manifest.files
+    """The files of one level that overlap the closed key range [low, high]:
+    in each run, key-sorted and disjoint, the span from the first file that
+    ends at or after ``low`` to the last that starts at or before ``high``."""
     return [
         meta
-        for run in engine.manifest.runs_in_level(level_no)
-        for fid in run
-        if (meta := files[fid]).overlaps(low, high)
+        for min_keys, max_keys, metas in engine.manifest.run_bounds(level_no)
+        for meta in metas[bisect_left(max_keys, low) : bisect_right(min_keys, high)]
     ]
 
 

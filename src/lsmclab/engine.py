@@ -13,6 +13,7 @@ import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -356,10 +357,13 @@ class LsmEngine:
 
     # -- range scans --------------------------------------------------------
 
-    def _run_iter(
+    def _run_pages(
         self, min_keys: list[bytes], metas: list[SortedFileMeta], low: bytes, high: bytes
     ):
-        """Entries of one sorted run within [low, high), charging page I/O."""
+        """One list per data page of a run: the page's entries within
+        [low, high), charging page I/O. The next page, or the next file's
+        fences and first page, is read only when the generator is resumed; a
+        page holding none of the range yields nothing."""
         slot = self.cfg.entry_bytes
         start_idx = bisect_right(min_keys, low) - 1
         for meta in metas[max(start_idx, 0) :]:
@@ -374,32 +378,55 @@ class LsmEngine:
                 count = self._page_entry_count(meta, page_no)
                 # only the first page can hold keys below low
                 first = page_lower_bound(page, low, slot, count) if page_no == first_page else 0
-                for i in range(first, count):
-                    entry = decode_entry(page, i * slot)
-                    if entry[0] >= high:
-                        return
-                    yield entry
+                end = page_lower_bound(page, high, slot, count)
+                if first < end:
+                    yield [decode_entry(page, i * slot) for i in range(first, end)]
+                if end < count:
+                    return
 
     def range_scan(self, low: bytes, high: bytes) -> list[tuple[bytes, bytes]]:
-        """Live entries with low <= key < high, ascending, newest version."""
+        """Live entries with low <= key < high, ascending, newest version.
+
+        Runs are read a page at a time, and the block cache is touched in
+        the order an entry-by-entry merge keyed on ``(key, -seqnum)`` would
+        touch it: a run's next page is read when its current page's last
+        row would be that merge's smallest. Rows are gathered newest source
+        first (the buffer, then the runs in probe order), so one stable sort
+        by key leaves each key's newest version first."""
         if low > high:
             raise InvalidArgument("range scan needs low <= high")
         self._advance_tick()
         pages_before = self.metrics.io_pages
 
-        buffered = (
-            (key, seq, kind, value)
-            for key, (seq, kind, value) in sorted(self.buffer.items())
-            if low <= key < high
-        )
-        iters = [buffered]
+        rows = [(key, *version) for key, version in self.buffer.items() if low <= key < high]
+        # one entry per unfinished run: (last row's key, -seqnum), probe
+        # order, and the run's page generator
+        run_rows: list[list] = []
+        heap = []
         for min_keys, metas in self.manifest.lookup_runs():
-            iters.append(self._run_iter(min_keys, metas, low, high))
-        merged = heapq.merge(*iters, key=lambda e: (e[0], -e[1]))
+            pages = self._run_pages(min_keys, metas, low, high)
+            page = next(pages, None)
+            if page is not None:
+                last = page[-1]
+                heap.append((last[0], -last[1], len(run_rows), pages))
+                run_rows.append(page)
+        heapq.heapify(heap)
+        while heap:
+            _key, _seq, order, pages = heap[0]
+            page = next(pages, None)
+            if page is None:
+                heapq.heappop(heap)
+            else:
+                last = page[-1]
+                heapq.heapreplace(heap, (last[0], -last[1], order, pages))
+                run_rows[order] += page
+        for got in run_rows:
+            rows += got
+        rows.sort(key=itemgetter(0))
 
         out: list[tuple[bytes, bytes]] = []
         prev_key: bytes | None = None
-        for key, _seq, kind, value in merged:
+        for key, _seq, kind, value in rows:
             if key == prev_key:
                 continue
             prev_key = key

@@ -94,6 +94,7 @@ class Manifest:
         self.rr_cursors: dict[int, bytes] = {}
         self._logged_cursors: dict[int, bytes] = {}
         self._runs_view: list[tuple[list[bytes], list[SortedFileMeta]]] | None = None
+        self._bounds_views: dict[int, list] = {}
         self._log_path = os.path.join(directory, MANIFEST_NAME)
         self._log = None
 
@@ -176,6 +177,7 @@ class Manifest:
 
     def _apply(self, edit: VersionEdit) -> None:
         self._runs_view = None
+        self._bounds_views = {}
         removed = set(edit.removes)
         for fid in removed:
             if fid not in self.files:
@@ -274,6 +276,21 @@ class Manifest:
                     metas = [self.files[fid] for fid in run]
                     view.append(([m.min_key for m in metas], metas))
             self._runs_view = view
+        return view
+
+    def run_bounds(
+        self, level_no: int
+    ) -> list[tuple[list[bytes], list[bytes], list[SortedFileMeta]]]:
+        """Each run of one level as ``(min_keys, max_keys, metas)``, ready
+        for ``bisect``; built on the first read after an edit. Lookups keep
+        :meth:`lookup_runs`, which builds no ``max_keys`` lists."""
+        view = self._bounds_views.get(level_no)
+        if view is None:
+            view = []
+            for run in self.runs_in_level(level_no):
+                metas = [self.files[fid] for fid in run]
+                view.append(([m.min_key for m in metas], [m.max_key for m in metas], metas))
+            self._bounds_views[level_no] = view
         return view
 
     def check(self) -> None:

@@ -88,10 +88,6 @@ class SortedFileMeta:
     def data_bytes(self, cfg: TreeConfig) -> int:
         return self.entry_count * cfg.entry_bytes
 
-    def overlaps(self, low: bytes, high: bytes) -> bool:
-        """Closed-interval overlap with [low, high]."""
-        return self.min_key <= high and low <= self.max_key
-
 
 def encode_entry(key: bytes, seqnum: int, kind: int, value: bytes, slot: int) -> bytes:
     body = _ENTRY_HDR.pack(len(key), len(value), seqnum, kind) + key + value

@@ -6,10 +6,13 @@ comparative runs (1M insert-only entries across all nine multi-level
 presets) are shared through module-scoped fixtures.
 """
 
+import functools
 import json
+import multiprocessing
 import os
 import random
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -53,16 +56,25 @@ def _ingest(ops, cfg, strategy):
     return rep, levels, nonempty
 
 
+@functools.cache
+def _big_stream():
+    """The big insert-only stream, generated once in each worker process."""
+    return generate(WorkloadSpec(inserts=BIG_N, seed=7, entry_bytes=128))
+
+
+def _big_run(name):
+    rep, levels, _ = _ingest(_big_stream(), BIG_CFG, name)
+    return rep, levels
+
+
 @pytest.fixture(scope="module")
 def big_runs():
-    """Insert-only uniform 1M entries, T=10, one run per preset."""
-    ops = generate(WorkloadSpec(inserts=BIG_N, seed=7, entry_bytes=128))
-    out = {}
-    for name in ("full", "tier", *PARTIALS):
-        rep, levels, _ = _ingest(ops, BIG_CFG, name)
-        out[name] = (rep, levels)
-    del ops
-    return out
+    """Insert-only uniform 1M entries, T=10, one run per preset, the presets
+    shared by two worker processes."""
+    names = ("full", "tier", *PARTIALS)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        return dict(zip(names, pool.map(_big_run, names)))
 
 
 @pytest.fixture(scope="module")

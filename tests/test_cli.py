@@ -208,6 +208,17 @@ file = {wl_path}
         assert json.load(fh)[0]["op_counts"]["I"] == 300
 
 
+@pytest.mark.parametrize("missing", [True, False])
+def test_unreadable_workload_file_exits_2(tmp_path, capsys, missing):
+    # a path that does not exist, or a directory, which cannot be read
+    wl_path = str(tmp_path / "nowhere.txt") if missing else str(tmp_path)
+    cfg = write_config(tmp_path, f"[workload]\nfile = {wl_path}\n")
+    args = ["run", "--config", cfg, "--strategy", "lo1", "--out", str(tmp_path / "o")]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "workload.file" in err and wl_path in err
+
+
 def test_model_prints_table(tmp_path, capsys):
     assert run_cli(["model", "--n", "10000000"]) == 0
     lines = capsys.readouterr().out.splitlines()

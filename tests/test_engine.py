@@ -1,5 +1,7 @@
+import copy
 import gc
 import heapq
+from bisect import bisect_right
 from collections import Counter
 import os
 import random
@@ -11,7 +13,7 @@ import pytest
 from lsmclab import LsmEngine, TreeConfig
 from lsmclab.bloom import BloomFilter
 from lsmclab.errors import InvalidArgument, StorageIOError
-from lsmclab.sstable import PUT, SstReader, encode_slots
+from lsmclab.sstable import PUT, SstReader, decode_entry, encode_slots, page_lower_bound
 
 from conftest import MIXED_KEYS, key, small_config, value
 
@@ -355,6 +357,104 @@ def test_space_amp_matches_reference_merge(tmp_path):
     eng.quiesce()
     assert eng.measure_space_amp() == reference_space_amp(eng)
     assert all(eng.get(k) == oracle.get(k) for k in keys)
+    eng.close()
+
+
+def entry_by_entry_scan(eng, low, high):
+    """The scan a page-granular one must match touch for touch: each run
+    read by a lazy generator of rows, all merged row by row with
+    ``heapq.merge`` on ``(key, -seqnum)``, the buffer first."""
+    slot = eng.cfg.entry_bytes
+
+    def run_rows(min_keys, metas):
+        for meta in metas[max(bisect_right(min_keys, low) - 1, 0) :]:
+            if meta.min_key >= high:
+                return
+            if meta.max_key < low:
+                continue
+            fences, _ = eng._fences_for(meta)
+            first_page = max(bisect_right(fences, low) - 1, 0)
+            for page_no in range(first_page, meta.data_pages):
+                page = eng._data_page(meta, page_no)
+                count = eng._page_entry_count(meta, page_no)
+                first = page_lower_bound(page, low, slot, count) if page_no == first_page else 0
+                for i in range(first, count):
+                    entry = decode_entry(page, i * slot)
+                    if entry[0] >= high:
+                        return
+                    yield entry
+
+    buffered = sorted((k, *version) for k, version in eng.buffer.items() if low <= k < high)
+    runs = [run_rows(min_keys, metas) for min_keys, metas in eng.manifest.lookup_runs()]
+    out, prev = [], None
+    for k, _seq, kind, v in heapq.merge(buffered, *runs, key=lambda e: (e[0], -e[1])):
+        if k != prev:
+            prev = k
+            if kind == PUT:
+                out.append((k, v))
+    return out
+
+
+def scan_touches(eng, scan, low, high):
+    """Rows, cache-get keys, pages charged and hit/miss counts of one scan,
+    run on a copy of the engine's cache so each scan starts alike."""
+    cache = copy.deepcopy(eng.cache)
+    touched = []
+    real_get = cache.get
+    cache.get = lambda k: touched.append(k) or real_get(k)
+    saved, eng.cache = eng.cache, cache
+    pages = eng.metrics.io_pages
+    try:
+        rows = scan(eng, low, high)
+    finally:
+        eng.cache = saved
+    return rows, touched, eng.metrics.io_pages - pages, cache.hits, cache.misses
+
+
+def test_scan_touches_cache_as_entry_by_entry_merge(tmp_path):
+    # a tiered tree of single-file level-1 runs over a multi-file run, read
+    # through a cache far smaller than the tree, so LRU order decides hits
+    cfg = small_config(size_ratio=10, block_cache_bytes=1024)
+    keys = sorted({*MIXED_KEYS, *(m + b"%02d" % i for m in MIXED_KEYS for i in range(24))})
+    rng = random.Random(5)
+    oracle = {}
+    eng = LsmEngine(str(tmp_path), cfg, "tier", debug_checks=True)
+    for i in range(1000):
+        k = rng.choice(keys)
+        if oracle.get(k) and rng.random() < 0.2:
+            eng.delete(k)  # shadows an older put
+            oracle[k] = None
+        else:
+            eng.put(k, value(i))
+            oracle[k] = value(i)
+    eng.put(b"zz", b"buffered")  # two keys only the buffer holds, just below b"zzz"
+    eng.put(b"zz\x00", b"buffered")
+    oracle[b"zz"] = oracle[b"zz\x00"] = b"buffered"
+    runs = eng.manifest.lookup_runs()
+    assert len(runs) >= 8 and len(eng.buffer) < cfg.entries_per_buffer
+    assert any(m.tombstone_count for _mk, metas in runs for m in metas)
+    min_keys, metas = max(runs, key=lambda run: len(run[1]))  # the multi-file run
+    assert len(metas) >= 3 and metas[1].data_pages >= 2
+    fences = eng.reader(metas[1].file_id).fence_keys
+
+    ranges = [
+        (keys[0], b"\xff"),  # everything
+        (fences[0], fences[1]),  # high is a page's first fence
+        (metas[0].min_key, metas[1].min_key),  # ends at a file boundary in a run
+        (metas[2].min_key, metas[2].min_key),  # low == high
+        (metas[-1].max_key + b"\x00", b"\xff"),  # past the run's last file
+        (b"zz", b"zz\x01"),  # held wholly in the buffer
+    ]
+    for _ in range(20):
+        low, high = sorted(rng.sample(keys, 2))
+        ranges.append((low, high))
+    for low, high in ranges:
+        want = [(k, v) for k, v in sorted(oracle.items()) if low <= k < high and v]
+        reference = scan_touches(eng, entry_by_entry_scan, low, high)
+        got = scan_touches(eng, LsmEngine.range_scan, low, high)
+        assert reference[0] == want
+        assert got == reference, (low, high)
+        eng.range_scan(low, high)  # move the real cache on
     eng.close()
 
 
