@@ -78,8 +78,12 @@ def key_hashes(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _positions(h1: np.ndarray, h2: np.ndarray, num_hashes: int, num_bits: int) -> np.ndarray:
     """The (num_hashes, n) bit positions ``(h1 + i * h2) % 2**64 % num_bits``;
-    each numpy op runs one long inner loop over the keys."""
-    x = h1 + np.arange(num_hashes, dtype=np.uint64)[:, None] * h2
+    each numpy op runs one long inner loop over the keys. Row i is row
+    i - 1 plus ``h2``, as in :func:`probe_sequence`."""
+    x = np.empty((num_hashes, len(h1)), dtype=np.uint64)
+    x[0] = h1
+    for i in range(1, num_hashes):
+        np.add(x[i - 1], h2, out=x[i])
     m = np.uint64(num_bits)
     # x % m, as numpy floor-divides uint64 by a scalar about 3x faster
     return x - x // m * m

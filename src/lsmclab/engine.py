@@ -142,9 +142,9 @@ class LsmEngine:
     ) -> list[SortedFileMeta]:
         """Write a job's whole sorted output as files of ``entries_per_file``
         rows; the columns they are written from are computed once. Each new
-        file's reader starts with the Bloom filter the job built, so no
-        lookup reads it back. A failed write keeps the job's files on disk
-        as spares and registers no reader."""
+        file's reader starts with the Bloom filter and the fence keys the
+        job built, so no lookup or scan reads either back. A failed write
+        keeps the job's files on disk as spares and registers no reader."""
         if not len(slots):
             return []
         job = JobColumns(slots, self.cfg, self.cfg.entries_per_file)
@@ -170,8 +170,12 @@ class LsmEngine:
             if os.path.exists(path):
                 self._spares.append(path)
             raise
-        for meta, filt in zip(metas, job.filters):
-            self._readers[meta.file_id] = SstReader(meta, self.cfg, _filter=filt)
+        pages = self.cfg.pages_per_file
+        for part, (meta, filt) in enumerate(zip(metas, job.filters)):
+            fences = job.fence_keys[part * pages : part * pages + meta.data_pages]
+            self._readers[meta.file_id] = SstReader(
+                meta, self.cfg, _filter=filt, _fence_keys=fences
+            )
         return metas
 
     def forget_files(self, file_ids: list[int]) -> None:

@@ -159,7 +159,9 @@ def encode_slots(entries: Iterable[Entry], slot: int) -> np.ndarray:
 
 
 def _key_lengths(slots: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(slots[:, 0:2]).view("<u2").ravel()
+    # one strided u16 read per row; the copy is contiguous, which the numpy
+    # ops on it run faster over than over the strided view
+    return slots[:, 0:2].view("<u2")[:, 0].copy()
 
 
 def _padded_keys(slots: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
@@ -168,7 +170,9 @@ def _padded_keys(slots: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarr
     # with one key length, copying just the key bytes needs no length mask
     one_length = (lengths == lengths[0]).all()
     take = min(width, int(lengths[0]) if one_length else slots.shape[1] - ENTRY_HEADER_BYTES)
-    keys[:, :take] = slots[:, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + take]
+    # each row's key bytes as one void item: one copy per row, not per byte
+    src = slots[:, ENTRY_HEADER_BYTES : ENTRY_HEADER_BYTES + take]
+    keys[:, :take].view(f"V{take}")[:] = src.view(f"V{take}")
     if not one_length:
         keys *= np.arange(width, dtype=lengths.dtype) < lengths[:, None]
     return keys
@@ -274,9 +278,12 @@ class JobColumns:
     when pages have no slack (the writer adds each last page's zero tail),
     else the rows laid out into zeroed pages. ``hashes`` are the keys'
     Bloom hash pairs, ``fences`` every page's index record back to back
-    (page ``p``'s starts at ``fence_starts[p]``). ``filters[part]`` is the
-    Bloom filter built for file ``part``, set when that file is written,
-    so the file's reader can start with it.
+    (page ``p``'s starts at ``fence_starts[p]``), and ``fence_keys`` every
+    page's fence key, parsed once per job by :func:`fence_keys`, the
+    readers' own parser. ``filters[part]`` is the Bloom filter built for
+    file ``part``, set when that file is written. A file's reader starts
+    with its filter and its slice of ``fence_keys``, so no lookup or scan
+    reads back either block.
     """
 
     def __init__(self, slots: np.ndarray, cfg: TreeConfig, rows_per_file: int) -> None:
@@ -316,6 +323,7 @@ class JobColumns:
         # boolean indexing reads row by row, so the records come out packed
         self.fences = records[np.arange(10 + width) < record_len[:, None]]
         self.fence_starts = np.concatenate(([0], np.cumsum(record_len)))
+        self.fence_keys = fence_keys(struct.pack("<I", n_pages) + self.fences.tobytes())
 
     def key_at(self, row: int) -> bytes:
         start = ENTRY_HEADER_BYTES
@@ -411,7 +419,10 @@ class SstReader:
     fills an array from the file's start with ``os.preadv`` where the
     platform has it, else with one ``os.pread`` and a copy. A read that
     returns fewer bytes than asked raises :class:`StorageIOError` naming
-    the file.
+    the file. A reader of a file its engine just wrote starts with the
+    job's filter and fence keys (:class:`JobColumns`); any other reads and
+    parses each block once, on first use of :attr:`bloom_filter` or
+    :attr:`fence_keys`.
     """
 
     meta: SortedFileMeta

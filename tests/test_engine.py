@@ -13,7 +13,15 @@ import pytest
 from lsmclab import LsmEngine, TreeConfig
 from lsmclab.bloom import BloomFilter
 from lsmclab.errors import InvalidArgument, StorageIOError
-from lsmclab.sstable import PUT, SstReader, decode_entry, encode_slots, page_lower_bound
+from lsmclab.sstable import (
+    PUT,
+    SstReader,
+    decode_entry,
+    encode_slots,
+    fence_keys,
+    page_lower_bound,
+    parse_index_block,
+)
 
 from conftest import MIXED_KEYS, key, small_config, value
 
@@ -164,10 +172,11 @@ def count_meta_reads(monkeypatch):
 
 
 def test_cold_cache_reads_each_meta_block_once_per_file(tmp_path, monkeypatch):
-    """With no block cache every block access misses and is charged, but a
-    file's index block is read and parsed once, and its filter never: the
-    reader starts with the filter its writer built. A file opened by a
-    later engine reads its filter once."""
+    """With no block cache every block access misses and is charged, but no
+    lookup or scan reads the filter or index block of a file this engine
+    wrote: the reader starts with the filter and fence keys its writer
+    built. A file opened by a later engine reads its filter and its index
+    once."""
     cfg = small_config(block_cache_bytes=0)
     reads = count_meta_reads(monkeypatch)
     rng = random.Random(5)
@@ -181,6 +190,10 @@ def test_cold_cache_reads_each_meta_block_once_per_file(tmp_path, monkeypatch):
                 eng.put(k, value(i))
                 oracle[k] = value(i)
                 continue
+            if i % 20 == 0:
+                # a scan reads the fences of every run's file that holds k
+                want = [(k, oracle[k])] if k in oracle else []
+                assert eng.range_scan(k, k + b"\xff") == want
             before = eng.metrics.io_pages
             res = eng.point_lookup(k)
             assert res.value == oracle.get(k)
@@ -197,11 +210,12 @@ def test_cold_cache_reads_each_meta_block_once_per_file(tmp_path, monkeypatch):
     eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
     replay(eng, 3000)
     assert eng.metrics.compaction_count > 10
+    # every index probe missed the cache and was charged, yet none read
+    assert eng.cache.misses["index"] > 20
     assert not reads["filter"]
-    assert len(reads["index"]) > 20 and set(reads["index"].values()) == {1}
+    assert not reads["index"]
     eng.close()
 
-    reads["index"].clear()
     eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True, auto_compact=False)
     live = set(eng.manifest.files)
     replay(eng, 600)
@@ -255,6 +269,39 @@ def test_written_files_readers_start_with_their_filters(tmp_path, cfg):
         assert reader.meta is meta and reader._filter is not None
         on_disk = BloomFilter.from_bytes(reader.read_filter_block())
         assert reader._filter.to_bytes() == on_disk.to_bytes()
+    eng.close()
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-length", "mixed"])
+def test_written_files_readers_start_with_their_fence_keys(tmp_path, cfg, mixed):
+    """Every file written by flush or compaction, or as one of a job's
+    several files, gets a reader holding its own pages' fence keys, equal
+    to its index block as both parsers read it. One-length keys take
+    ``fence_keys``' numpy path; mixed-length keys, some fences ending in a
+    zero byte, take the per-fence loop."""
+    if mixed:
+        keys = [b"%03d" % i + k for i in range(40) for k in MIXED_KEYS]
+    else:
+        keys = [key(i) for i in range(400)]
+    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
+    for i in random.Random(3).sample(range(len(keys)), len(keys)):
+        eng.put(keys[i], value(i))
+    assert eng.metrics.compaction_count > 0
+    # one job of three files, the last one short: 16, 16 and 5 rows
+    n = 2 * cfg.entries_per_file + cfg.entries_per_page + 1
+    entries = [(k, i, PUT, value(i)) for i, k in enumerate(keys[:n])]
+    job = eng.write_sorted_slots(encode_slots(entries, cfg.entry_bytes), 2, None)
+    assert [m.data_pages for m in job] == [4, 4, 2]
+    fences = []
+    for meta in [*eng.manifest.files.values(), *job]:
+        reader = eng._readers[meta.file_id]
+        raw = reader.read_index_block()
+        assert reader._fence_keys == fence_keys(raw) == [k for k, _ in parse_index_block(raw)]
+        fences += reader._fence_keys
+    if mixed:
+        assert any(f.endswith(b"\x00") for f in fences)
+    else:
+        assert {len(f) for f in fences} == {8}
     eng.close()
 
 
