@@ -33,7 +33,7 @@ from .sstable import (
     SstReader,
     check_newest_first,
     decode_entry,
-    encode_slots,
+    encode_columns,
     key_columns,
     load_slot_matrix,
     page_lower_bound,
@@ -85,6 +85,9 @@ class LsmEngine:
                 os.remove(os.path.join(directory, name))
         self.cache = BlockCache(self.cfg.block_cache_bytes)
         self.metrics = MetricsCollector(entry_bytes=self.cfg.entry_bytes)
+        # the put path calls these builtins, not collector methods
+        self._note_key = self.metrics.unique_keys.add
+        self._note_write_pages = self.metrics.histograms["write"].values.append
         self._entries_per_buffer = self.cfg.entries_per_buffer
         self._entry_room = self.cfg.entry_bytes - ENTRY_HEADER_BYTES
         # buffer: key -> (seqnum, kind, value); newest version wins on insert
@@ -215,13 +218,15 @@ class LsmEngine:
         manifest.next_seqnum = seqnum + 1
         self.buffer[key] = (seqnum, kind, value)
         if kind == PUT:
-            self.metrics.note_put(key)
+            self._note_key(key)
         elif self._buffer_oldest_ts_tick is None:
             self._buffer_oldest_ts_tick = manifest.logical_tick
-        pages_before = self.metrics.io_pages
-        if len(self.buffer) >= self._entries_per_buffer:
+        if len(self.buffer) < self._entries_per_buffer:
+            self._note_write_pages(0)  # a buffered write does no I/O
+        else:
+            pages_before = self.metrics.io_pages
             self.flush_buffer()
-        self.metrics.add_latency("write", self.metrics.io_pages - pages_before)
+            self._note_write_pages(self.metrics.io_pages - pages_before)
         return seqnum
 
     def delete(self, key: bytes) -> int:
@@ -230,10 +235,9 @@ class LsmEngine:
     def flush_buffer(self) -> list[int]:
         if not self.buffer:
             raise InvalidArgument("flush of an empty buffer")
-        entries = (
-            (key, seq, kind, value) for key, (seq, kind, value) in sorted(self.buffer.items())
-        )
-        slots = encode_slots(entries, self.cfg.entry_bytes)
+        keys = sorted(self.buffer)
+        seqnums, kinds, values = zip(*map(self.buffer.__getitem__, keys))
+        slots = encode_columns(keys, seqnums, kinds, values, self.cfg.entry_bytes)
         metas = self.write_sorted_slots(slots, 1, self._buffer_oldest_ts_tick)
         edit = VersionEdit(adds=[(1, ADD_NEW_RUN, metas)])
         self.manifest.apply(edit)

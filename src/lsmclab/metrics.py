@@ -112,9 +112,6 @@ class MetricsCollector:
 
     # -- events -----------------------------------------------------------
 
-    def note_put(self, key: bytes) -> None:
-        self.unique_keys.add(key)
-
     def add_io_pages(self, pages: int) -> None:
         self.io_pages += pages
 

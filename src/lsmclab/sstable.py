@@ -89,15 +89,6 @@ class SortedFileMeta:
         return self.entry_count * cfg.entry_bytes
 
 
-def encode_entry(key: bytes, seqnum: int, kind: int, value: bytes, slot: int) -> bytes:
-    body = _ENTRY_HDR.pack(len(key), len(value), seqnum, kind) + key + value
-    if len(body) > slot:
-        raise InvalidArgument(
-            f"entry of {len(body)} bytes exceeds the {slot}-byte entry slot"
-        )
-    return body.ljust(slot, b"\x00")
-
-
 def decode_entry(page: bytes, offset: int) -> Entry:
     klen, vlen, seqnum, kind = _ENTRY_HDR.unpack_from(page, offset)
     start = offset + ENTRY_HEADER_BYTES
@@ -152,10 +143,50 @@ def _write_blocks(
     return index_off, len(index), filter_off, len(filt)
 
 
+def encode_columns(
+    keys: Sequence[bytes],
+    seqnums: Sequence[int],
+    kinds: Sequence[int],
+    values: Sequence[bytes],
+    slot: int,
+) -> np.ndarray:
+    """Encode entries given as columns into an (n, slot) uint8 slot matrix.
+
+    Row ``i`` is entry ``i``'s slot: the ``<HHQB`` header (key length, value
+    length, seqnum, kind), then the key, then the value, zero-padded. The
+    rows are filled as one packed structured array, field by field."""
+    n = len(keys)
+    sizes = np.fromiter(map(len, keys), dtype=np.int64, count=n)
+    value_sizes = np.fromiter(map(len, values), dtype=np.int64, count=n)
+    over = np.flatnonzero(sizes + value_sizes > slot - ENTRY_HEADER_BYTES)
+    if len(over):
+        size = ENTRY_HEADER_BYTES + sizes[over[0]] + value_sizes[over[0]]
+        raise InvalidArgument(f"entry of {size} bytes exceeds the {slot}-byte entry slot")
+    rows = np.empty(n, dtype=_slot_dtype(slot))  # the fields cover every byte
+    rows["klen"] = sizes
+    rows["vlen"] = value_sizes
+    rows["seqnum"] = seqnums
+    rows["kind"] = kinds
+    rows["body"] = list(map(bytes.__add__, keys, values))
+    return rows.view(np.uint8).reshape(n, slot)
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_dtype(slot: int) -> np.dtype:
+    return np.dtype(
+        {
+            "names": ["klen", "vlen", "seqnum", "kind", "body"],
+            "formats": ["<u2", "<u2", "<u8", "u1", f"S{slot - ENTRY_HEADER_BYTES}"],
+            "offsets": [0, 2, 4, 12, ENTRY_HEADER_BYTES],
+            "itemsize": slot,
+        }
+    )
+
+
 def encode_slots(entries: Iterable[Entry], slot: int) -> np.ndarray:
-    """Encode entries into an (n, slot) uint8 slot matrix, one row each."""
-    raw = b"".join(encode_entry(k, s, kd, v, slot) for k, s, kd, v in entries)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, slot)
+    """Encode ``(key, seqnum, kind, value)`` entries into an (n, slot) uint8
+    slot matrix, one row each, with :func:`encode_columns`."""
+    return encode_columns(*(tuple(zip(*entries)) or ((),) * 4), slot)
 
 
 def _key_lengths(slots: np.ndarray) -> np.ndarray:
@@ -271,7 +302,7 @@ class JobColumns:
     """What a job's files are written from, computed once over all its rows.
 
     ``slots`` is a job's whole output: an (n, entry_bytes) uint8 matrix of
-    entries encoded by :func:`encode_entry`, key-sorted and duplicate-free;
+    entries encoded by :func:`encode_columns`, key-sorted and duplicate-free;
     keys may differ in length. File ``part`` holds ``rows_per_file`` rows
     (a whole number of pages) from ``part * rows_per_file``. ``data`` is
     every file's data section back to back: the slot matrix's own bytes

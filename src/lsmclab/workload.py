@@ -3,13 +3,18 @@
 Keys are fixed-width zero-padded decimal integers so byte order equals
 numeric order. Inserted keys are even integers; empty point lookups draw
 from the odd integers, which guarantees emptiness without tracking
-membership. Equal specs produce byte-identical streams.
+membership. Equal specs produce byte-identical streams, built in numpy
+column passes; every op on one key shares one value object. Shuffled
+insert, update and delete tags are emitted in tag order, but an update or
+delete before the insert it needs waits for it (:func:`generate`).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -74,8 +79,8 @@ class WorkloadSpec:
             raise WorkloadError("update_ratio must be >= 0")
         if not 0 < self.selectivity <= 1:
             raise WorkloadError("selectivity must be in (0, 1]")
-        if self.entry_bytes < self.key_bytes + ENTRY_HEADER_BYTES:
-            raise WorkloadError("entry_bytes too small for key plus header")
+        if self.entry_bytes < ENTRY_HEADER_BYTES + _key_width(self):
+            raise WorkloadError(f"entry_bytes too small for {_key_width(self)}-byte keys")
         if self.interleaving not in (SERIAL, INTERLEAVED):
             raise WorkloadError(f"unknown interleaving {self.interleaving!r}")
 
@@ -90,7 +95,9 @@ def _zipf_pmf(domain: int, s: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def sample(dist: Distribution, rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
+def sample(
+    dist: Distribution, rng: np.random.Generator, n: int, domain: int, zipf_pmf=_zipf_pmf
+) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if dist.kind == "uniform":
@@ -106,190 +113,182 @@ def sample(dist: Distribution, rng: np.random.Generator, n: int, domain: int) ->
             draws[bad] = rng.normal(mean, std, int(bad.sum()))
         return np.clip(draws, 0, domain - 1).astype(np.int64)
     if dist.kind == "zipf":
-        pmf = _zipf_pmf(min(domain, 1 << 20), dist.s)
+        pmf = zipf_pmf(min(domain, 1 << 20), dist.s)
         return rng.choice(len(pmf), n, p=pmf).astype(np.int64)
     # prefix_zipf: hot decimal prefixes, uniform suffixes
     width = len(str(max(domain - 1, 1)))
     p_digits = min(dist.prefix_bytes, width)
     suffix_span = 10 ** (width - p_digits)
     prefix_domain = min(10**p_digits, max(domain // suffix_span, 1))
-    pmf = _zipf_pmf(prefix_domain, dist.s)
+    pmf = zipf_pmf(prefix_domain, dist.s)
     prefixes = rng.choice(prefix_domain, n, p=pmf).astype(np.int64)
     suffixes = rng.integers(0, suffix_span, n)
     return (prefixes * suffix_span + suffixes) % domain
 
 
 def _unique_draws(
-    dist: Distribution, rng: np.random.Generator, n: int, domain: int
+    dist: Distribution, rng: np.random.Generator, n: int, domain: int, zipf_pmf
 ) -> np.ndarray:
     """n distinct integers in [0, domain), ordered by first draw."""
     if domain < n:
         raise WorkloadError("key domain too small for unique inserts")
     if dist.kind == "uniform":
         return rng.choice(domain, n, replace=False)
-    seen: dict[int, None] = {}
-    while len(seen) < n:
-        batch = sample(dist, rng, max(2 * (n - len(seen)), 1024), domain)
-        for value in batch.tolist():
-            if value not in seen:
-                seen[value] = None
-                if len(seen) == n:
-                    break
-    return np.fromiter(seen.keys(), dtype=np.int64, count=n)
+    found = np.empty(0, dtype=np.int64)
+    while len(found) < n:
+        missing = n - len(found)
+        batch = sample(dist, rng, max(2 * missing, 1024), domain, zipf_pmf)
+        firsts = np.sort(np.unique(batch, return_index=True)[1])
+        fresh = batch[firsts]
+        fresh = fresh[~np.isin(fresh, found)][:missing]
+        found = np.concatenate([found, fresh])
+    return found
 
 
 # ---------------------------------------------------------------------------
 # Generation
 
 
-def _key_width(spec: WorkloadSpec, domain: int) -> int:
-    return max(spec.key_bytes, len(str(2 * domain)))
+def _domain(spec: WorkloadSpec) -> int:
+    return max(4 * spec.inserts, 1024)
 
 
-def _encode_key(value: int, width: int) -> bytes:
-    return b"%0*d" % (width, value)
+def _key_width(spec: WorkloadSpec) -> int:
+    return max(spec.key_bytes, len(str(2 * _domain(spec))))
 
 
-def _value_for(key: bytes, spec: WorkloadSpec) -> bytes:
-    room = spec.entry_bytes - ENTRY_HEADER_BYTES - len(key)
-    return (b"v" + key + b"x" * room)[:room]
+def _digits(ints: np.ndarray, width: int) -> np.ndarray:
+    """Zero-padded decimal digits of each integer as an (n, width) uint8 matrix."""
+    out = np.empty((len(ints), width), dtype=np.uint8)
+    rest = ints
+    for col in range(width - 1, -1, -1):
+        rest, out[:, col] = np.divmod(rest, 10)
+    out += ord("0")
+    return out
+
+
+def _as_bytes(rows: np.ndarray) -> np.ndarray:
+    """Each row of an (n, w) uint8 matrix without zero bytes as one bytes
+    object, in an object array."""
+    if rows.shape[1] == 0:
+        return np.full(len(rows), b"", dtype=object)
+    return rows.view(f"S{rows.shape[1]}")[:, 0].astype(object)
+
+
+def _keys(ints: np.ndarray, width: int) -> np.ndarray:
+    return _as_bytes(_digits(ints, width))
+
+
+def _values(digits: np.ndarray, room: int) -> np.ndarray:
+    """``(b"v" + key + b"x" * room)[:room]`` for each key's digit row. Rows
+    are built 4,096 at a time: with one (n, room) matrix, a benchmark pass's
+    peak RSS read up to 10 MB higher."""
+    out = np.empty(len(digits), dtype=object)
+    take = max(min(digits.shape[1], room - 1), 0)
+    for lo in range(0, len(digits), 4096):
+        part = digits[lo : lo + 4096]
+        rows = np.full((len(part), room), ord("x"), dtype=np.uint8)
+        rows[:, :1] = ord("v")
+        rows[:, 1 : 1 + take] = part[:, :take]
+        out[lo : lo + len(part)] = _as_bytes(rows)
+    return out
 
 
 def generate(spec: WorkloadSpec) -> list[Operation]:
-    """Materialize the full operation stream for one spec."""
+    """Materialize the full operation stream for one spec.
+
+    The ``k``-th ``I`` tag inserts the ``k``-th unique key. A ``U`` tag
+    picks among the keys inserted before it; one before the first insert
+    is emitted right after that insert and picks its key. The ``j``-th
+    ``D`` tag deletes the ``j``-th smallest deleted insert number, at its
+    tag if that key is inserted by then, else right after that key's insert
+    (and its deferred updates), and never before delete ``j - 1``. Lookup
+    ``l`` follows ingestion op ``start + ceil((l + 1) * step) - 1``, or the
+    last one.
+    """
     rng = np.random.default_rng(spec.seed)
-    n_updates = round(spec.update_ratio * spec.inserts)
-    n_deletes = round(spec.delete_fraction * spec.inserts)
-    n_empty = round(spec.alpha * spec.point_lookups)
+    # one pmf per Zipf domain, for this call only: a pmf can be megabytes
+    pmf = functools.lru_cache(maxsize=None)(_zipf_pmf)
+    n_ins = spec.inserts
+    n_updates = round(spec.update_ratio * n_ins)
+    n_deletes = round(spec.delete_fraction * n_ins)
+    n_points = spec.point_lookups
+    n_empty = round(spec.alpha * n_points)
+    n_ingest = n_ins + n_updates + n_deletes
 
-    domain = max(4 * spec.inserts, 1024)
-    width = _key_width(spec, domain)
+    domain = _domain(spec)
+    width = _key_width(spec)
     # even integers for inserts, odd reserved for guaranteed-empty lookups
-    insert_ints = _unique_draws(spec.insert_dist, rng, spec.inserts, domain) * 2
-    insert_keys = [_encode_key(int(v), width) for v in insert_ints]
+    digits = _digits(_unique_draws(spec.insert_dist, rng, n_ins, domain, pmf) * 2, width)
+    keys = _as_bytes(digits)
+    values = _values(digits, spec.entry_bytes - ENTRY_HEADER_BYTES - width)
+    targets = np.sort(rng.permutation(n_ins)[:n_deletes])
 
-    delete_order = rng.permutation(spec.inserts)[:n_deletes]
-    deleted_set = set(int(i) for i in delete_order)
-    delete_targets = sorted(deleted_set)
-
-    # ingestion tags; a U/D that precedes its enabling insert is deferred
-    # until the next insert satisfies it
-    tags = np.array(
-        ["I"] * spec.inserts + ["U"] * n_updates + ["D"] * n_deletes
-    )
+    # tags 0 I, 1 U, 2 D: shuffling codes draws what shuffling letters would
+    tags = np.repeat(np.array([0, 1, 2], dtype=np.int8), [n_ins, n_updates, n_deletes])
     rng.shuffle(tags)
-    ingestion: list[Operation] = []
-    inserted = 0
-    insert_cursor = 0
-    del_ptr = 0
-    deferred_u = 0
-    deferred_d = 0
-    live_indices: list[int] = []  # insert order indices still live
-    update_picks = iter(
-        sample(spec.lookup_dist, rng, n_updates, max(spec.inserts, 1)).tolist()
-    )
-
-    def emit_insert() -> None:
-        nonlocal inserted, insert_cursor
-        key = insert_keys[insert_cursor]
-        ingestion.append(("I", key, _value_for(key, spec)))
-        if insert_cursor not in deleted_set:
-            live_indices.append(insert_cursor)
-        insert_cursor += 1
-        inserted += 1
-
-    def emit_update() -> None:
-        idx = next(update_picks) % inserted
-        key = insert_keys[idx]
-        ingestion.append(("U", key, _value_for(key, spec)))
-
-    def delete_ready() -> bool:
-        return del_ptr < len(delete_targets) and delete_targets[del_ptr] < inserted
-
-    def emit_delete() -> None:
-        nonlocal del_ptr
-        ingestion.append(("D", insert_keys[delete_targets[del_ptr]]))
-        del_ptr += 1
-
-    for tag in tags:
-        tag = str(tag)
-        if tag == "I":
-            emit_insert()
-            while deferred_u and inserted:
-                emit_update()
-                deferred_u -= 1
-            while deferred_d and delete_ready():
-                emit_delete()
-                deferred_d -= 1
-        elif tag == "U":
-            if inserted:
-                emit_update()
-            else:
-                deferred_u += 1
-        elif delete_ready():
-            emit_delete()
-        else:
-            deferred_d += 1
-    while deferred_u:
-        emit_update()
-        deferred_u -= 1
-    while deferred_d:
-        emit_delete()
-        deferred_d -= 1
-    if del_ptr != len(delete_targets):
-        raise WorkloadError("could not satisfy the requested delete count")
+    picks = sample(spec.lookup_dist, rng, n_updates, max(n_ins, 1), pmf)
+    ins_at, upd_at, del_at = (np.flatnonzero(tags == code) for code in range(3))
+    # emission order by position * 4 + sub: sub 0 at its own tag, 1 for an
+    # update deferred to the first insert, 2 for a delete deferred to the
+    # insert of its key; targets ascend, so no delete passes an earlier one
+    place = np.arange(n_ingest, dtype=np.int64) * 4
+    place[upd_at[upd_at < ins_at[0]]] = ins_at[0] * 4 + 1
+    ready = ins_at[targets]
+    place[del_at] = np.where(ready < del_at, del_at * 4, ready * 4 + 2)
+    place[np.argsort(place, kind="stable")] = np.arange(n_ingest)  # each tag's rank
 
     # lookups
-    live_keys = [insert_keys[i] for i in live_indices]
-    lookups: list[Operation] = []
-    empties = [True] * n_empty + [False] * (spec.point_lookups - n_empty)
-    rng.shuffle(empties)
-    empty_ints = sample(spec.lookup_dist, rng, n_empty, domain) * 2 + 1
-    full_picks = sample(
-        spec.lookup_dist, rng, spec.point_lookups - n_empty, max(len(live_keys), 1)
+    alive = np.ones(n_ins, dtype=bool)
+    alive[targets] = False
+    live = keys[alive]
+    empties = np.repeat([True, False], [n_empty, n_points - n_empty])
+    rng.shuffle(empties)  # draws what shuffling a list of as many flags would
+    point_keys = np.empty(n_points, dtype=object)
+    point_keys[empties] = _keys(sample(spec.lookup_dist, rng, n_empty, domain, pmf) * 2 + 1, width)
+    full_picks = sample(spec.lookup_dist, rng, n_points - n_empty, max(len(live), 1), pmf)
+    point_keys[~empties] = (
+        live[full_picks % len(live)] if len(live) else _keys(np.ones(1, np.int64), width)[0]
     )
-    e_iter = iter(empty_ints.tolist())
-    f_iter = iter(full_picks.tolist())
-    for is_empty in empties:
-        if is_empty or not live_keys:
-            lookups.append(("P", _encode_key(next(e_iter) if is_empty else 1, width)))
-        else:
-            lookups.append(("P", live_keys[next(f_iter) % len(live_keys)]))
-
     span = max(int(spec.selectivity * 2 * domain), 1)
-    range_lows = sample(spec.lookup_dist, rng, spec.range_lookups, domain) * 2
-    for low in range_lows.tolist():
-        low = min(low, max(2 * domain - span, 0))
-        lookups.append(("S", _encode_key(low, width), _encode_key(low + span, width)))
+    lows = sample(spec.lookup_dist, rng, spec.range_lookups, domain, pmf) * 2
+    lows = np.minimum(lows, max(2 * domain - span, 0))
+    n_lookups = n_points + spec.range_lookups
+    lookups = np.fromiter(
+        chain(
+            zip(repeat("P"), point_keys),
+            zip(repeat("S"), _keys(lows, width), _keys(lows + span, width)),
+        ),
+        dtype=object,
+        count=n_lookups,
+    )
     if spec.range_lookups:
-        order = rng.permutation(len(lookups))
-        lookups = [lookups[i] for i in order]
-
-    if spec.interleaving == SERIAL or not lookups:
-        return ingestion + lookups
+        lookups = lookups[rng.permutation(n_lookups)]
 
     # interleaved: lookups start once L-1 levels would be full, then spread
-    # uniformly over the remaining ingestion
-    total = len(ingestion)
-    levels = _estimated_levels(spec)
-    filled = 0
-    if levels > 1:
-        t = spec.size_ratio
-        filled = spec.buffer_entries * sum(t**i for i in range(1, levels))
-    start = min(max(filled, 0), total)
-    remaining = total - start
-    stream = ingestion[:start]
-    if remaining == 0:
-        return stream + ingestion[start:] + lookups
-    step = remaining / len(lookups)
-    li = 0
-    for offset, op in enumerate(ingestion[start:]):
-        stream.append(op)
-        while li < len(lookups) and (li + 1) * step <= offset + 1:
-            stream.append(lookups[li])
-            li += 1
-    stream.extend(lookups[li:])
-    return stream
+    # uniformly over the remaining ingestion; serial: all follow it
+    start = n_ingest
+    if spec.interleaving == INTERLEAVED:
+        levels = _estimated_levels(spec)
+        filled = 0
+        if levels > 1:
+            t = spec.size_ratio
+            filled = spec.buffer_entries * sum(t**i for i in range(1, levels))
+        start = min(max(filled, 0), n_ingest)
+    step = (n_ingest - start) / max(n_lookups, 1)
+    after = np.ceil(np.arange(1, n_lookups + 1) * step).astype(np.int64)
+    after = np.minimum(start + after - 1, n_ingest - 1)  # the op each follows
+    place += np.searchsorted(after, place)  # each tag's place in the stream
+    stream = np.empty(n_ingest + n_lookups, dtype=object)
+    stream[after + np.arange(1, n_lookups + 1)] = lookups
+    stream[place[ins_at]] = np.fromiter(zip(repeat("I"), keys, values), dtype=object, count=n_ins)
+    picks %= np.maximum(np.searchsorted(ins_at, upd_at), 1)  # among inserts before it
+    stream[place[upd_at]] = np.fromiter(
+        zip(repeat("U"), keys[picks], values[picks]), dtype=object, count=n_updates
+    )
+    deletes = zip(repeat("D"), keys[targets])
+    stream[place[del_at]] = np.fromiter(deletes, dtype=object, count=n_deletes)
+    return stream.tolist()
 
 
 def _estimated_levels(spec: WorkloadSpec) -> int:

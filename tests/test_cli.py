@@ -96,6 +96,14 @@ def test_bad_config_exits_2(tmp_path):
     assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_entry_bytes_too_small_for_generated_keys_exits_2(tmp_path, capsys):
+    # 1,000 inserts make 4-digit keys, one byte wider than key_bytes
+    text = SMALL.replace("entry_bytes = 64", "entry_bytes = 16")
+    cfg = write_config(tmp_path, text.replace("inserts = 300", "inserts = 1000\nkey_bytes = 3"))
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "entry_bytes too small for 4-byte keys" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, section, named",
     [

@@ -38,8 +38,8 @@ def test_summary_keys():
 def test_write_amp_counts_compaction_bytes_only():
     col = MetricsCollector(entry_bytes=100)
     for i in range(10):
-        col.note_put(b"key%d" % i)
-    col.note_put(b"key0")  # duplicate: not a new unique key
+        col.unique_keys.add(b"key%d" % i)
+    col.unique_keys.add(b"key0")  # duplicate: not a new unique key
     col.record_flush(1000)
     col.record_compaction(2000, 2000, 20, pseudo=False)
     col.record_compaction(0, 0, 0, pseudo=True)
@@ -70,7 +70,7 @@ def test_read_amp_guard_against_zero_found():
 
 def test_report_flat_items_are_stable():
     col = MetricsCollector(entry_bytes=100)
-    col.note_put(b"a")
+    col.unique_keys.add(b"a")
     col.add_latency("point", 2.0)
     report = col.report(space_amp=0.5, tombstones_remaining=3, max_tombstone_age_ticks=9)
     items = report.flat_items()

@@ -18,7 +18,7 @@ from lsmclab.sstable import (
     _key_lengths,
     _padded_keys,
     decode_entry,
-    encode_entry,
+    encode_columns,
     encode_slots,
     fence_keys,
     key_columns,
@@ -34,6 +34,15 @@ from lsmclab.sstable import (
 )
 
 from conftest import MIXED_KEYS, key, small_config, value
+
+
+def encode_entry(key, seqnum, kind, value, slot):
+    """One entry's slot, packed field by field: the reference the column
+    encoder is checked against."""
+    body = struct.pack("<HHQB", len(key), len(value), seqnum, kind) + key + value
+    if len(body) > slot:
+        raise InvalidArgument(f"entry of {len(body)} bytes exceeds the {slot}-byte entry slot")
+    return body.ljust(slot, b"\x00")
 
 
 def make_entries(n, start=0, step=2, kind=PUT):
@@ -188,8 +197,36 @@ def test_page_search_short_pages(count):
 
 
 def test_entry_slot_overflow():
+    # 13 + 25 + 30 = 68 bytes: the key and value alone would fit 64
+    with pytest.raises(InvalidArgument, match="entry of 68 bytes exceeds the 64-byte"):
+        encode_slots([(b"k", 1, PUT, b"v"), (b"k" * 25, 1, PUT, b"v" * 30)], 64)
     with pytest.raises(InvalidArgument):
-        encode_entry(b"k" * 40, 1, PUT, b"v" * 40, 64)
+        encode_entry(b"k" * 25, 1, PUT, b"v" * 30, 64)
+    assert encode_slots([(b"k" * 25, 1, PUT, b"v" * 26)], 64).shape == (1, 64)
+
+
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.sampled_from(MIXED_KEYS) | st.binary(min_size=1, max_size=20),
+            st.integers(0, 2**64 - 1),
+            st.sampled_from([PUT, TOMBSTONE]),
+            st.binary(max_size=30) | st.just(b"\x00") | st.just(b""),
+        ),
+        max_size=12,
+    ),
+    slot=st.sampled_from([64, 128]),
+)
+@settings(max_examples=300, deadline=None)
+def test_column_encoder_matches_entry_by_entry(entries, slot):
+    # tombstones carry no value, as the engine writes them
+    entries = [(k, s, kd, b"" if kd == TOMBSTONE else v) for k, s, kd, v in entries]
+    want = b"".join(encode_entry(*e, slot) for e in entries)
+    got = encode_slots(entries, slot)
+    assert got.shape == (len(entries), slot) and got.dtype == np.uint8
+    assert got.tobytes() == want
+    if entries:
+        assert encode_columns(*zip(*entries), slot).tobytes() == want
 
 
 def test_entry_codec():

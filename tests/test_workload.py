@@ -1,3 +1,9 @@
+import importlib.util
+import json
+import pathlib
+import random
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,6 +17,10 @@ from lsmclab.workload import (
     sample,
     serialize,
 )
+
+import workload_reference
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def spec(**kw):
@@ -143,6 +153,13 @@ def test_spec_validation():
         WorkloadSpec(inserts=10, interleaving="zigzag")
     with pytest.raises(WorkloadError):
         Distribution("pareto")
+    # 1,000 inserts make 4-digit keys: 13 + 4 bytes do not fit 16, though
+    # 13 + key_bytes do
+    with pytest.raises(WorkloadError, match="too small for 4-byte keys"):
+        WorkloadSpec(inserts=1000, entry_bytes=16, key_bytes=3)
+    # an exact fit leaves no room for a value
+    ops = generate(WorkloadSpec(inserts=1000, entry_bytes=17, key_bytes=3, update_ratio=0.1))
+    assert {op[2] for op in ops if op[0] in "IU"} == {b""}
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +251,115 @@ def test_parse_rejects_malformed_lines(tmp_path):
         fh.write("X 0002 v\n")
     with pytest.raises(WorkloadError):
         list(parse(path))
+
+
+# ---------------------------------------------------------------------------
+# The column generator against the earlier per-op generator
+
+
+def _grid_spec(rng: random.Random) -> WorkloadSpec:
+    dists = [
+        Distribution("uniform"),
+        Distribution("normal", stddev_pct=rng.choice([5.0, 34.0, 100.0])),
+        Distribution("zipf", s=rng.choice([0.5, 1.0, 1.5])),
+        Distribution("prefix_zipf", s=1.2, prefix_bytes=rng.choice([1, 2, 3])),
+    ]
+    inserts = rng.choice([1, 2, 3, 10, rng.randint(1, 400), rng.randint(1, 4000)])
+    return WorkloadSpec(
+        inserts=inserts,
+        update_ratio=rng.choice([0, 0.5, 1, 8, rng.uniform(0, 4)]),
+        delete_fraction=rng.choice([0, 0.1, 1, rng.random()]),
+        point_lookups=rng.choice([0, 1, rng.randint(0, 2000)]),
+        alpha=rng.choice([0.0, 1.0, rng.random()]),
+        range_lookups=rng.choice([0, 1, rng.randint(0, 30)]),
+        selectivity=rng.choice([0.001, 0.5, 1.0]),
+        entry_bytes=rng.choice([32, 64, 128]),
+        key_bytes=rng.choice([1, 4, 8]),
+        insert_dist=rng.choice(dists),
+        lookup_dist=rng.choice(dists),
+        interleaving=rng.choice(["serial", "interleaved"]),
+        seed=rng.randrange(2**32),
+        buffer_entries=rng.choice([1, 4, 64, 1024, 65536]),
+        size_ratio=rng.choice([2, 4, 10]),
+    )
+
+
+def _early_ops(spec: WorkloadSpec) -> tuple[int, int]:
+    """(updates before the first insert, deletes before their key's insert),
+    from the tag shuffle that a uniform-insert spec draws."""
+    rng = np.random.default_rng(spec.seed)
+    n_updates = round(spec.update_ratio * spec.inserts)
+    n_deletes = round(spec.delete_fraction * spec.inserts)
+    rng.choice(max(4 * spec.inserts, 1024), spec.inserts, replace=False)
+    targets = np.sort(rng.permutation(spec.inserts)[:n_deletes])
+    tags = np.array(["I"] * spec.inserts + ["U"] * n_updates + ["D"] * n_deletes)
+    rng.shuffle(tags)
+    ins_at = np.flatnonzero(tags == "I")
+    early_updates = np.flatnonzero(tags == "U") < ins_at[0]
+    early_deletes = np.flatnonzero(tags == "D") < ins_at[targets]
+    return int(early_updates.sum()), int(early_deletes.sum())
+
+
+GRID = [_grid_spec(random.Random(i)) for i in range(300)] + [
+    # few inserts among many updates and deletes: early ops are likely
+    WorkloadSpec(inserts=n, update_ratio=8, delete_fraction=1, point_lookups=5, seed=seed)
+    for n in (1, 2, 3)
+    for seed in range(4)
+] + [
+    WorkloadSpec(
+        inserts=20_000,
+        update_ratio=2,
+        delete_fraction=0.3,
+        point_lookups=2000,
+        alpha=0.5,
+        range_lookups=20,
+        lookup_dist=Distribution("zipf"),
+        interleaving="interleaved",
+        buffer_entries=64,
+        size_ratio=4,
+        seed=11,
+    )
+]
+
+
+def test_grid_covers_the_deferral_rules():
+    uniform = [s for s in GRID if s.insert_dist.kind == "uniform"]
+    early = [_early_ops(s) for s in uniform]
+    assert sum(u > 0 for u, _ in early) >= 5
+    assert sum(d > 0 for _, d in early) >= 5
+    assert {1, 20_000} <= {s.inserts for s in GRID}
+    assert {0.0, 1.0} <= {s.alpha for s in GRID}
+    assert {d.kind for s in GRID for d in (s.insert_dist, s.lookup_dist)} == {
+        "uniform",
+        "normal",
+        "zipf",
+        "prefix_zipf",
+    }
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_generate_equals_the_per_op_reference(chunk):
+    for spec in GRID[chunk::8]:
+        ops = generate(spec)
+        assert ops == workload_reference.generate(spec), spec
+        assert all(type(op[0]) is str and type(op[1]) is bytes for op in ops)
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# Regenerating all ten recorded seeds of the three workloads takes about 5 s;
+# seeds 1 (the one CI traces), 5 and 10 take a third of that.
+@pytest.mark.parametrize("seed", [1, 5, 10])
+def test_benchmark_streams_match_the_recorded_fingerprints(seed):
+    workloads, run = _load("workloads"), _load("run")
+    recorded = json.loads((PERFBENCH / "baseline.json").read_text())["fingerprints"]
+    assert set(recorded) == set(workloads.WORKLOADS)
+    for name, workload in workloads.WORKLOADS.items():
+        digest = run.fingerprint(generate(workload.spec(seed)))
+        assert digest == recorded[name][str(seed)], name
