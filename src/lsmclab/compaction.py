@@ -1,10 +1,12 @@
-"""Compaction strategies as an ensemble of four primitives.
+"""Compaction strategies as an ensemble of four primitives, planned then executed.
 
-A strategy combines a trigger set (when to compact), a data layout
-(how runs are arranged per level), a granularity (how much data one job
-moves) and a data-movement policy chain (which files to move). An
-ensemble is named ``triggers/layout/granularity/chain``; the ten named
-presets are such names for the common production designs.
+A strategy combines a trigger set (when to compact), a data layout (how
+runs are arranged per level), a granularity (how much one job moves) and a
+data-movement policy chain (which files to move). An ensemble is named
+``triggers/layout/granularity/chain``; the ten presets name common designs.
+The planner, ``evaluate_triggers`` then ``select_compaction``, only reads a
+``TreeView`` and returns a job carrying the round-robin cursor its pick
+moves; ``execute_compaction`` writes its files and applies one manifest edit.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from functools import partial
 
 import numpy as np
 
+from .config import TreeConfig
 from .errors import InvalidArgument, InvariantViolation
-from .manifest import ADD_NEW_RUN, ADD_SPLICE, VersionEdit
+from .manifest import ADD_NEW_RUN, ADD_SPLICE, Manifest, VersionEdit
 from .sstable import (
     TOMBSTONE,
     SortedFileMeta,
@@ -278,7 +281,18 @@ def get_strategy(name: str) -> CompactionStrategy:
 
 
 # ---------------------------------------------------------------------------
-# Jobs
+# Plans and jobs
+
+
+@dataclass(frozen=True)
+class TreeView:
+    """What the compaction planner reads; a reopen empties the two session inputs."""
+
+    manifest: Manifest  # read only: the planner never edits it
+    strategy: CompactionStrategy
+    cfg: TreeConfig
+    live_keys: set[bytes]  # the keys put this session
+    access_ticks: dict[int, int]  # file id -> last lookup probe's tick, default created_tick
 
 
 @dataclass
@@ -291,6 +305,7 @@ class CompactionJob:
     purge: bool
     add_mode: str  # manifest placement of outputs
     trigger: Trigger
+    cursors: dict[int, bytes]  # level -> the round-robin cursor its pick moves
 
 
 @dataclass
@@ -315,7 +330,7 @@ def _ttl_deadline(level: int, d_th: float, realized_levels: int) -> float:
     return level * d_th / (realized_levels + 1)
 
 
-def _space_amp_quick(engine) -> float:
+def _space_amp_quick(view) -> float:
     """Cheap trigger-side estimate of obsolete over live bytes.
 
     The live set is approximated by the unique keys ingested this session
@@ -323,7 +338,7 @@ def _space_amp_quick(engine) -> float:
     duplication across sibling runs is visible without a full merge; exact
     measurement stays in the metrics pipeline.
     """
-    man = engine.manifest
+    man = view.manifest
     deepest = man.deepest_nonempty_level()
     if deepest == 0:
         return 0.0
@@ -331,7 +346,7 @@ def _space_amp_quick(engine) -> float:
         sum(man.files[fid].entry_count for fid in run)
         for run in man.runs_in_level(deepest)
     )
-    live = max(largest, len(engine.metrics.unique_keys))
+    live = max(largest, len(view.live_keys))
     rest = man.total_entries() - live
     return max(rest / live, 0.0) if live else 0.0
 
@@ -349,16 +364,16 @@ def _sa_actionable_level(manifest) -> int | None:
 
 
 def _expired(
-    engine, metas: list[SortedFileMeta], level_no: int, d_th: float | None
+    view, metas: list[SortedFileMeta], level_no: int, d_th: float | None
 ) -> list[SortedFileMeta]:
     """The files among ``metas`` whose oldest tombstone outlived the level's
-    TTL deadline; ``d_th`` None means the engine's delete persistence
+    TTL deadline; ``d_th`` None means the config's delete persistence
     threshold, and no file expires when that is unset too."""
     if d_th is None:
-        d_th = engine.cfg.delete_persistence_threshold
+        d_th = view.cfg.delete_persistence_threshold
     if d_th is None:
         return []
-    man = engine.manifest
+    man = view.manifest
     deadline = _ttl_deadline(level_no, d_th, max(man.deepest_nonempty_level(), 1))
     now = man.logical_tick
     return [
@@ -368,15 +383,15 @@ def _expired(
     ]
 
 
-def _nominees(engine, level_no: int, trigger: Trigger) -> list[SortedFileMeta]:
+def _nominees(view, level_no: int, trigger: Trigger) -> list[SortedFileMeta]:
     """The files of one level that satisfy a file-scoped trigger: the
     trigger fires on the level when there are any, and its job picks only
     among them."""
-    man = engine.manifest
+    man = view.manifest
     metas = _level_metas(man, level_no)
     kind = trigger.kind
     if kind is TriggerKind.TOMBSTONE_TTL:
-        return _expired(engine, metas, level_no, trigger.value)
+        return _expired(view, metas, level_no, trigger.value)
     if kind is TriggerKind.FILE_STALENESS:
         now = man.logical_tick
         return [m for m in metas if now - m.created_tick > trigger.value]
@@ -384,21 +399,19 @@ def _nominees(engine, level_no: int, trigger: Trigger) -> list[SortedFileMeta]:
     return [m for m in metas if m.entry_count and m.tombstone_count / m.entry_count >= frac]
 
 
-def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
+def evaluate_triggers(view: TreeView) -> list[tuple[int, Trigger]]:
     """All currently-firing (level, trigger) pairs.
 
     Ordered by the strategy's trigger priority, then shallower level first.
     """
-    strategy: CompactionStrategy = engine.strategy
-    man = engine.manifest
-    cfg = engine.cfg
+    man = view.manifest
     deepest = man.deepest_nonempty_level()
     fired: list[tuple[int, Trigger]] = []
 
-    for trig in strategy.triggers:
+    for trig in view.strategy.triggers:
         kind = trig.kind
         if kind is TriggerKind.SPACE_AMP:
-            if _space_amp_quick(engine) > (trig.value or 0.5):
+            if _space_amp_quick(view) > (trig.value or 0.5):
                 level = _sa_actionable_level(man)
                 if level is not None:
                     fired.append((level, trig))
@@ -408,15 +421,15 @@ def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
             if not runs:
                 continue
             if kind is TriggerKind.LEVEL_SATURATION:
-                tiered = strategy.layout.is_tiered(level_no, deepest)
+                tiered = view.strategy.layout.is_tiered(level_no, deepest)
                 threshold = trig.value if trig.value is not None else 1.0
-                level_bytes = man.entries_in_level(level_no) * cfg.entry_bytes
-                over = level_bytes > threshold * cfg.level_capacity_bytes(level_no)
+                level_bytes = man.entries_in_level(level_no) * view.cfg.entry_bytes
+                over = level_bytes > threshold * view.cfg.level_capacity_bytes(level_no)
                 multi_run = not tiered and len(runs) > 1
                 # whole-level granularity compacts the arrival level into its
                 # parent on every flush once the tree has grown deeper
                 whole_level = (
-                    strategy.granularity.kind is GranularityKind.LEVEL
+                    view.strategy.granularity.kind is GranularityKind.LEVEL
                     and not tiered
                     and level_no == 1
                     and deepest > 1
@@ -424,10 +437,10 @@ def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
                 if over or multi_run or whole_level:
                     fired.append((level_no, trig))
             elif kind is TriggerKind.SORTED_RUN_COUNT:
-                k = trig.value if trig.value is not None else cfg.size_ratio
+                k = trig.value if trig.value is not None else view.cfg.size_ratio
                 if len(runs) >= k:
                     fired.append((level_no, trig))
-            elif _nominees(engine, level_no, trig):  # a file-scoped kind
+            elif _nominees(view, level_no, trig):  # a file-scoped kind
                 fired.append((level_no, trig))
     return fired
 
@@ -436,30 +449,30 @@ def evaluate_triggers(engine) -> list[tuple[int, Trigger]]:
 # Victim selection
 
 
-def _overlapping(engine, low: bytes, high: bytes, level_no: int) -> list[SortedFileMeta]:
+def _overlapping(view, low: bytes, high: bytes, level_no: int) -> list[SortedFileMeta]:
     """The files of one level that overlap the closed key range [low, high]:
     in each run, key-sorted and disjoint, the span from the first file that
     ends at or after ``low`` to the last that starts at or before ``high``."""
     return [
         meta
-        for min_keys, max_keys, metas in engine.manifest.run_bounds(level_no)
+        for min_keys, max_keys, metas in view.manifest.run_bounds(level_no)
         for meta in metas[bisect_left(max_keys, low) : bisect_right(min_keys, high)]
     ]
 
 
-def _overlap_bytes(engine, meta: SortedFileMeta, level_no: int) -> int:
+def _overlap_bytes(view, meta: SortedFileMeta, level_no: int) -> int:
     """The bytes of level ``level_no`` that the file ``meta`` overlaps."""
-    overlapping = _overlapping(engine, meta.min_key, meta.max_key, level_no)
-    return sum(m.entry_count for m in overlapping) * engine.cfg.entry_bytes
+    overlapping = _overlapping(view, meta.min_key, meta.max_key, level_no)
+    return sum(m.entry_count for m in overlapping) * view.cfg.entry_bytes
 
 
 # Each movement policy's sort key for a file ``m`` of level ``lvl``; the
 # first file in key order is picked first.
 _SORT_KEYS = {
-    MovementPolicy.ENTIRE_LEVEL: lambda eng, lvl, m: (m.min_key, m.file_id),
-    MovementPolicy.ROUND_ROBIN: lambda eng, lvl, m: (m.min_key, m.file_id),
-    MovementPolicy.LEAST_OVERLAP_PARENT: lambda eng, lvl, m: (
-        _overlap_bytes(eng, m, lvl + 1), m.min_key, m.file_id
+    MovementPolicy.ENTIRE_LEVEL: lambda view, lvl, m: (m.min_key, m.file_id),
+    MovementPolicy.ROUND_ROBIN: lambda view, lvl, m: (m.min_key, m.file_id),
+    MovementPolicy.LEAST_OVERLAP_PARENT: lambda view, lvl, m: (
+        _overlap_bytes(view, m, lvl + 1), m.min_key, m.file_id
     ),
     # (parent + grandparent overlap bytes) per victim byte: the parent
     # bytes this merge rewrites now plus the grandparent bytes its output
@@ -468,33 +481,33 @@ _SORT_KEYS = {
     # first, parent bytes only on ties, ignores the merge paid now:
     # once the grandparent covers the key space it picks narrow victims
     # with large parent merges and moves more than LO+1.
-    MovementPolicy.LEAST_OVERLAP_GRANDPARENT: lambda eng, lvl, m: (
-        (_overlap_bytes(eng, m, lvl + 1) + _overlap_bytes(eng, m, lvl + 2))
-        / m.data_bytes(eng.cfg),
+    MovementPolicy.LEAST_OVERLAP_GRANDPARENT: lambda view, lvl, m: (
+        (_overlap_bytes(view, m, lvl + 1) + _overlap_bytes(view, m, lvl + 2))
+        / m.data_bytes(view.cfg),
         m.min_key,
         m.file_id,
     ),
     # ties are the common case after an in-place level rewrite stamps
     # every file with the same tick; break them toward the cheapest
     # merge or the leftmost pick degenerates into rewriting the parent
-    MovementPolicy.COLDEST: lambda eng, lvl, m: (
-        -(eng.manifest.logical_tick - m.last_access_tick),
-        _overlap_bytes(eng, m, lvl + 1),
+    MovementPolicy.COLDEST: lambda view, lvl, m: (
+        -(view.manifest.logical_tick - view.access_ticks.get(m.file_id, m.created_tick)),
+        _overlap_bytes(view, m, lvl + 1),
         m.min_key,
         m.file_id,
     ),
-    MovementPolicy.OLDEST: lambda eng, lvl, m: (
-        m.created_tick, _overlap_bytes(eng, m, lvl + 1), m.min_key, m.file_id
+    MovementPolicy.OLDEST: lambda view, lvl, m: (
+        m.created_tick, _overlap_bytes(view, m, lvl + 1), m.min_key, m.file_id
     ),
-    MovementPolicy.MOST_TOMBSTONES: lambda eng, lvl, m: (
+    MovementPolicy.MOST_TOMBSTONES: lambda view, lvl, m: (
         -(m.tombstone_count / m.entry_count), m.min_key, m.file_id
     ),
-    MovementPolicy.EXPIRED_TOMBSTONE_TTL: lambda eng, lvl, m: (m.oldest_tombstone_tick, m.file_id),
+    MovementPolicy.EXPIRED_TOMBSTONE_TTL: lambda view, lvl, m: (m.oldest_tombstone_tick, m.file_id),
 }
 
 
 def _rank_candidates(
-    engine, level_no: int, metas: list[SortedFileMeta], policy: MovementPolicy, trigger: Trigger
+    view, level_no: int, metas: list[SortedFileMeta], policy: MovementPolicy, trigger: Trigger
 ) -> list[SortedFileMeta] | None:
     """Candidates in pick order for one policy; None means the policy abstains."""
     # the tombstone policies rank only the files they apply to, else abstain
@@ -502,11 +515,11 @@ def _rank_candidates(
         metas = [m for m in metas if m.tombstone_count] or None
     elif policy is MovementPolicy.EXPIRED_TOMBSTONE_TTL:
         d_th = trigger.value if trigger.kind is TriggerKind.TOMBSTONE_TTL else None
-        metas = _expired(engine, metas, level_no, d_th) or None
+        metas = _expired(view, metas, level_no, d_th) or None
     if metas is None:
         return None
-    ordered = sorted(metas, key=partial(_SORT_KEYS[policy], engine, level_no))
-    cursor = engine.rr_cursors.get(level_no)
+    ordered = sorted(metas, key=partial(_SORT_KEYS[policy], view, level_no))
+    cursor = view.manifest.rr_cursors.get(level_no)
     if policy is MovementPolicy.ROUND_ROBIN and cursor is not None:
         after = [m for m in ordered if m.min_key > cursor]
         ordered = after + [m for m in ordered if m.min_key <= cursor]
@@ -514,15 +527,17 @@ def _rank_candidates(
 
 
 def _pick_victims(
-    engine, level_no: int, metas: list[SortedFileMeta], n: int, trigger: Trigger
-) -> list[SortedFileMeta]:
-    for policy in engine.strategy.movement:
-        ranked = _rank_candidates(engine, level_no, metas, policy, trigger)
+    view, level_no: int, metas: list[SortedFileMeta], n: int, trigger: Trigger
+) -> tuple[list[SortedFileMeta], dict[int, bytes]]:
+    for policy in view.strategy.movement:
+        ranked = _rank_candidates(view, level_no, metas, policy, trigger)
         if ranked:
             picked = ranked[:n]
-            if policy is MovementPolicy.ROUND_ROBIN:
-                engine.rr_cursors[level_no] = max(m.min_key for m in picked)
-            return picked
+            cursor = max(m.min_key for m in picked)
+            moved = cursor != view.manifest.rr_cursors.get(level_no)
+            if policy is MovementPolicy.ROUND_ROBIN and moved:
+                return picked, {level_no: cursor}
+            return picked, {}
     raise InvariantViolation("movement chain abstained at its final element")
 
 
@@ -531,51 +546,51 @@ def _level_metas(man, level_no: int) -> list[SortedFileMeta]:
 
 
 def _overlapping_targets(
-    engine, victims: list[SortedFileMeta], level_no: int
+    view, victims: list[SortedFileMeta], level_no: int
 ) -> list[SortedFileMeta]:
     low = min(m.min_key for m in victims)
     high = max(m.max_key for m in victims)
-    return _overlapping(engine, low, high, level_no)
+    return _overlapping(view, low, high, level_no)
 
 
-def _purge_allowed(engine, target_level: int, target_covers_level: bool) -> bool:
+def _purge_allowed(view, target_level: int, target_covers_level: bool) -> bool:
     """Tombstones may be dropped when nothing lives below the target and the
     target level cannot hide older versions outside the merge inputs."""
-    man = engine.manifest
+    man = view.manifest
     deepest = man.deepest_nonempty_level()
     if deepest > target_level:
         return False
-    tiered_target = engine.strategy.layout.is_tiered(target_level, max(deepest, 1))
+    tiered_target = view.strategy.layout.is_tiered(target_level, max(deepest, 1))
     if not tiered_target:
         # key-disjoint single run: files outside the merge cannot share keys
         return True
     return target_covers_level or man.run_count(target_level) == 0
 
 
-def select_compaction(engine, level_no: int, trigger: Trigger) -> CompactionJob:
+def select_compaction(view: TreeView, level_no: int, trigger: Trigger) -> CompactionJob:
     """Turn one firing trigger into a concrete job."""
-    strategy: CompactionStrategy = engine.strategy
-    man = engine.manifest
+    man = view.manifest
     metas = _level_metas(man, level_no)
     if not metas:
         raise InvalidArgument(f"level {level_no} is empty")
     deepest = man.deepest_nonempty_level()
-    tiered = strategy.layout.is_tiered(level_no, deepest)
-    target_tiered = strategy.layout.is_tiered(level_no + 1, deepest)
-    gran = strategy.granularity.kind
+    tiered = view.strategy.layout.is_tiered(level_no, deepest)
+    target_tiered = view.strategy.layout.is_tiered(level_no + 1, deepest)
+    gran = view.strategy.granularity.kind
     by_file = gran in (GranularityKind.FILE, GranularityKind.FILES)
     file_scoped = trigger.kind in _FILE_SCOPED
 
-    def job(victims, target_level, targets, add_mode, covers_target):
+    def job(victims, target_level, targets, add_mode, covers_target, cursors=None):
         return CompactionJob(
             source_level=level_no,
             victim_ids=[m.file_id for m in victims],
             target_level=target_level,
             target_ids=[m.file_id for m in targets],
             pseudo=not targets and target_level != level_no and by_file and not tiered,
-            purge=_purge_allowed(engine, target_level, covers_target),
+            purge=_purge_allowed(view, target_level, covers_target),
             add_mode=add_mode,
             trigger=trigger,
+            cursors=cursors or {},
         )
 
     if tiered:
@@ -586,7 +601,7 @@ def select_compaction(engine, level_no: int, trigger: Trigger) -> CompactionJob:
         # merge all sorted runs of the level into the next level
         if target_tiered:
             return job(metas, level_no + 1, [], ADD_NEW_RUN, covers_target=False)
-        targets = _overlapping_targets(engine, metas, level_no + 1)
+        targets = _overlapping_targets(view, metas, level_no + 1)
         return job(metas, level_no + 1, targets, ADD_SPLICE, covers_target=False)
 
     if len(man.runs_in_level(level_no)) > 1 and (file_scoped or by_file):
@@ -599,18 +614,18 @@ def select_compaction(engine, level_no: int, trigger: Trigger) -> CompactionJob:
         targets = _level_metas(man, level_no + 1)
         return job(metas, level_no + 1, targets, ADD_SPLICE, covers_target=True)
 
-    n = strategy.granularity.n if gran is GranularityKind.FILES else 1
-    candidates = _nominees(engine, level_no, trigger) if file_scoped else metas
-    victims = _pick_victims(engine, level_no, candidates, n, trigger)
+    n = view.strategy.granularity.n if gran is GranularityKind.FILES else 1
+    candidates = _nominees(view, level_no, trigger) if file_scoped else metas
+    victims, cursors = _pick_victims(view, level_no, candidates, n, trigger)
     if file_scoped and level_no == deepest:
         # rewrite in place, which drops expired tombstones at the tree
         # bottom; the span between the first and last victim keeps the
         # output from overlapping a file that was not picked
-        span = _overlapping_targets(engine, victims, level_no)
-        return job(span, level_no, [], ADD_SPLICE, covers_target=False)
-    targets = _overlapping_targets(engine, victims, level_no + 1)
+        span = _overlapping_targets(view, victims, level_no)
+        return job(span, level_no, [], ADD_SPLICE, covers_target=False, cursors=cursors)
+    targets = _overlapping_targets(view, victims, level_no + 1)
     mode = ADD_NEW_RUN if target_tiered else ADD_SPLICE
-    return job(victims, level_no + 1, targets, mode, covers_target=False)
+    return job(victims, level_no + 1, targets, mode, covers_target=False, cursors=cursors)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +662,7 @@ def execute_compaction(engine, job: CompactionJob) -> CompactionResult:
         edit = VersionEdit(
             removes=list(job.victim_ids),
             adds=[(job.target_level, job.add_mode, victims)],
+            cursors=job.cursors,
         )
         man.apply(edit)
         engine.metrics.record_compaction(0, 0, 0, pseudo=True)
@@ -675,6 +691,7 @@ def execute_compaction(engine, job: CompactionJob) -> CompactionResult:
     edit = VersionEdit(
         removes=input_ids,
         adds=[(job.target_level, job.add_mode, out_metas)] if out_metas else [],
+        cursors=job.cursors,
     )
     man.apply(edit)
     engine.forget_files(input_ids)
@@ -690,14 +707,14 @@ def execute_compaction(engine, job: CompactionJob) -> CompactionResult:
 
 
 def run_until_quiescent(engine) -> int:
-    """Drain the trigger/select/execute loop; returns the job count."""
+    """Plan from ``engine.view`` and execute until no trigger fires; returns the job count."""
     jobs = 0
     while True:
-        fired = evaluate_triggers(engine)
+        fired = evaluate_triggers(engine.view)
         if not fired:
             return jobs
         level_no, trigger = fired[0]
-        job = select_compaction(engine, level_no, trigger)
+        job = select_compaction(engine.view, level_no, trigger)
         execute_compaction(engine, job)
         jobs += 1
         man = engine.manifest

@@ -93,7 +93,10 @@ class LsmEngine:
         # buffer: key -> (seqnum, kind, value); newest version wins on insert
         self.buffer: dict[bytes, tuple[int, int, bytes]] = {}
         self._buffer_oldest_ts_tick: int | None = None
-        self.rr_cursors = self.manifest.rr_cursors  # picks set them, edits log them
+        self.access_ticks: dict[int, int] = {}  # file id -> tick of its last lookup probe
+        self.view = compaction.TreeView(
+            self.manifest, self.strategy, self.cfg, self.metrics.unique_keys, self.access_ticks
+        )
         self._readers: dict[int, SstReader] = {}
         # paths of retired files, most recent last: each becomes the storage
         # of a later file by a rename and an overwrite, not an unlink and a
@@ -188,6 +191,7 @@ class LsmEngine:
             reader = self._readers.pop(fid, None)
             if reader is not None:
                 reader.close()
+            self.access_ticks.pop(fid, None)
             self.cache.drop_file(fid)
             self._spares.append(os.path.join(self.directory, f"{fid:08d}.sst"))
         self._release_spares(len(self.manifest.files))
@@ -304,7 +308,7 @@ class LsmEngine:
         page_no = bisect_right(fences, key) - 1
         page = self._data_page(meta, page_no)
         result.data_pages_read += 1
-        meta.last_access_tick = self.tick
+        self.access_ticks[meta.file_id] = self.tick
         return scan_page_for_key(
             page, key, self.cfg.entry_bytes, self._page_entry_count(meta, page_no)
         )

@@ -35,7 +35,7 @@ class VersionEdit:
     next_file_id: int | None = None
     next_seqnum: int | None = None
     tick: int | None = None
-    # level -> round-robin cursor, for the cursors set since the last edit
+    # level -> round-robin cursor, for the cursors the edit's job moved
     cursors: dict[int, bytes] = field(default_factory=dict)
 
 
@@ -70,7 +70,6 @@ def _meta_from_json(obj: dict, directory: str) -> SortedFileMeta:
         data_pages=obj["pages"],
         created_tick=obj["ctick"],
         oldest_tombstone_tick=obj["ott"],
-        last_access_tick=obj["ctick"],
         index_off=obj["ioff"],
         index_len=obj["ilen"],
         filter_off=obj["foff"],
@@ -88,11 +87,10 @@ class Manifest:
         self.next_file_id = 1
         self.next_seqnum = 1
         self.logical_tick = 0
-        # level -> the largest min_key of the last round-robin pick there; a
-        # pick sets it and the next edit logs it, as RocksDB's VersionEdit
-        # logs compact cursors
+        # level -> the largest min_key of the last round-robin pick there;
+        # the pick's job carries it and the job's edit logs it, as RocksDB's
+        # VersionEdit logs compact cursors
         self.rr_cursors: dict[int, bytes] = {}
-        self._logged_cursors: dict[int, bytes] = {}
         self._runs_view: list[tuple[list[bytes], list[SortedFileMeta]]] | None = None
         self._bounds_views: dict[int, list] = {}
         self._log_path = os.path.join(directory, MANIFEST_NAME)
@@ -166,7 +164,6 @@ class Manifest:
         edit.next_file_id = self.next_file_id
         edit.next_seqnum = self.next_seqnum
         edit.tick = self.logical_tick
-        edit.cursors = dict(self.rr_cursors.items() - self._logged_cursors.items())
         if self._log is not None:
             try:
                 self._log.write(json.dumps(self._edit_to_json(edit)) + "\n")
@@ -214,7 +211,6 @@ class Manifest:
         if edit.tick is not None:
             self.logical_tick = max(self.logical_tick, edit.tick)
         self.rr_cursors.update(edit.cursors)
-        self._logged_cursors.update(edit.cursors)
 
     def _ensure_level(self, level_no: int) -> None:
         while len(self.levels) < level_no:

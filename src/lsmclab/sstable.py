@@ -79,7 +79,6 @@ class SortedFileMeta:
     data_pages: int
     created_tick: int
     oldest_tombstone_tick: int | None = None
-    last_access_tick: int = 0
     index_off: int = 0
     index_len: int = 0
     filter_off: int = 0
@@ -412,7 +411,6 @@ def write_file_from_slots(
         data_pages=n_pages,
         created_tick=created_tick,
         oldest_tombstone_tick=oldest_tombstone_tick if tombstones else None,
-        last_access_tick=created_tick,
         index_off=index_off,
         index_len=index_len,
         filter_off=filter_off,

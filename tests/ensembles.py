@@ -8,8 +8,9 @@ sets x 6 layouts x 4 granularities x 8 movement chains = 1,344 ensembles.
 Each replays 1,500 puts and deletes over 600 keys on a tree of size ratio 3
 with 8-entry buffers and ``debug_checks=True``, drains its triggers, must
 end at most 8 levels deep, and must match the oracle both before and after
-a reopen. The names carry
-``stale:300``; ``--staleness`` replaces that argument.
+a reopen. Before each job, planning from the manifest reloaded from disk
+must give the job about to run. The names carry ``stale:300``;
+``--staleness`` replaces that argument.
 
 ``tests/test_compaction.py`` runs a covering subset (``SUBSET``), and
 ``tests/test_cli.py`` pins the subset's ``metrics.csv``. Run the whole grid
@@ -21,15 +22,20 @@ with::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
+import json
+import os
 import random
 import re
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 
-from lsmclab import LsmEngine, TreeConfig
+from lsmclab import LsmEngine, TreeConfig, compaction
 from lsmclab.compaction import parse_ensemble
+from lsmclab.manifest import MANIFEST_NAME, Manifest
 
 # the names of each axis; "stale:300" is rewritten to the probe's staleness
 TRIGGER_SETS = ("sat", "runs", "runs+sat", "runs+sa", "stale:300+sat", "ttl+sat", "dens+sat")
@@ -106,12 +112,52 @@ def probe_ops(seed: int):
         yield k, None if rng.random() < 0.25 else b"v%d" % i
 
 
+@contextmanager
+def _jobs_replanned_from_disk(directory: str):
+    """Before each job, plan again from the manifest reloaded from
+    ``directory``, with the engine's strategy, config and session inputs,
+    and require the job about to run, cursor included: the manifest's log
+    holds all the tree state the planner reads.
+
+    A reload replays the log's edits in order, so replaying only the edits
+    appended since the last job gives the manifest a fresh open would load.
+    """
+    reloaded = Manifest(directory)
+    log_path = os.path.join(directory, MANIFEST_NAME)
+    replayed = 0  # bytes of the log applied to ``reloaded``
+    execute = compaction.execute_compaction
+
+    def checked(engine, job):
+        nonlocal replayed
+        with open(log_path, "rb") as fh:
+            fh.seek(replayed)
+            appended = fh.read()
+        for line in appended.splitlines():
+            reloaded._apply(reloaded._edit_from_json(json.loads(line)))
+        replayed += len(appended)
+        view = dataclasses.replace(engine.view, manifest=reloaded)
+        level_no, trigger = compaction.evaluate_triggers(view)[0]
+        replanned = compaction.select_compaction(view, level_no, trigger)
+        if replanned != job:
+            raise AssertionError(f"planned from the reloaded manifest {replanned}, ran {job}")
+        return execute(engine, job)
+
+    compaction.execute_compaction = checked
+    try:
+        yield
+    finally:
+        compaction.execute_compaction = execute
+
+
 def check(name: str, directory: str, staleness: float, d_th: int, seed: int) -> None:
     """Replay the probe on one ensemble; raises on the first fault."""
     cfg = tree_config(d_th)
     ensemble = parse_ensemble(re.sub(r"stale:[^+/]*", f"stale:{staleness:g}", name))
     oracle: dict[bytes, bytes] = {}
-    with LsmEngine(directory, cfg, ensemble, debug_checks=True) as engine:
+    with (
+        _jobs_replanned_from_disk(directory),
+        LsmEngine(directory, cfg, ensemble, debug_checks=True) as engine,
+    ):
         for k, v in probe_ops(seed):
             if v is None:
                 engine.delete(k)

@@ -23,7 +23,8 @@ from lsmclab.compaction import (
     run_until_quiescent,
     select_compaction,
 )
-from lsmclab.errors import InvalidArgument, InvariantViolation
+from lsmclab.errors import InvalidArgument, InvariantViolation, StorageIOError
+from lsmclab.manifest import VersionEdit
 from lsmclab.sstable import decode_entry
 
 from conftest import key, small_config, value
@@ -172,7 +173,7 @@ def test_leveled_multi_run_fires_saturation(tmp_path):
     eng = make_engine(tmp_path, "lo1")
     fill(eng, eng.cfg.entries_per_buffer)
     assert eng.manifest.run_count(1) == 1
-    assert evaluate_triggers(eng) == []
+    assert evaluate_triggers(eng.view) == []
     eng.close()
 
 
@@ -310,7 +311,7 @@ def test_full_empties_shallow_levels(tmp_path):
 def test_select_rejects_empty_level(tmp_path):
     eng = make_engine(tmp_path, "lo1")
     with pytest.raises(InvalidArgument):
-        select_compaction(eng, 1, Trigger(TriggerKind.LEVEL_SATURATION, 1.0))
+        select_compaction(eng.view, 1, Trigger(TriggerKind.LEVEL_SATURATION, 1.0))
     eng.close()
 
 
@@ -318,10 +319,10 @@ def test_job_execution_applies_single_edit(tmp_path):
     eng = make_engine(tmp_path, "full", block_cache_bytes=0)
     eng.auto_compact = False
     fill(eng, 2 * eng.cfg.entries_per_buffer)
-    fired = evaluate_triggers(eng)
+    fired = evaluate_triggers(eng.view)
     assert fired
     level_no, trigger = fired[0]
-    job = select_compaction(eng, level_no, trigger)
+    job = select_compaction(eng.view, level_no, trigger)
     before = set(eng.manifest.files)
     result = execute_compaction(eng, job)
     eng.manifest.check()
@@ -407,7 +408,7 @@ def ranked_names(tmp_path, strategy_name, policy, prep):
     prep(eng)
     metas = _level_metas(eng.manifest, 1)
     ranked = _rank_candidates(
-        eng, 1, metas, policy, Trigger(TriggerKind.LEVEL_SATURATION, 1.0)
+        eng.view, 1, metas, policy, Trigger(TriggerKind.LEVEL_SATURATION, 1.0)
     )
     eng.close()
     return metas, ranked
@@ -420,11 +421,75 @@ def test_round_robin_cursor_advances(tmp_path):
     fill(eng, eng.cfg.entries_per_buffer)
     metas = _level_metas(eng.manifest, 1)
     trig = Trigger(TriggerKind.LEVEL_SATURATION, 1.0)
-    first = _pick_victims(eng, 1, metas, 1, trig)[0]
-    assert eng.rr_cursors[1] == first.min_key
-    again = _pick_victims(eng, 1, metas, 1, trig)[0]
+    (first,), cursors = _pick_victims(eng.view, 1, metas, 1, trig)
+    assert cursors == {1: first.min_key}
+    eng.manifest.apply(VersionEdit(cursors=cursors))
+    (again,), _cursors = _pick_victims(eng.view, 1, metas, 1, trig)
     assert again.min_key != first.min_key or len(metas) == 1
     eng.close()
+
+
+def _rr_tree(eng):
+    """Fifteen buffers over 80 keys under ``rr``: level 1 holds one run of
+    four files over level 2, and level 1's cursor is set."""
+    for r in range(15):
+        fill(eng, eng.cfg.entries_per_buffer, start=r % 5, step=5)
+    assert eng.manifest.run_count(1) == 1 and eng.manifest.rr_cursors
+
+
+def test_planner_writes_nothing(tmp_path):
+    eng = make_engine(tmp_path, "rr")
+    _rr_tree(eng)
+    for i in range(0, 80, 7):
+        eng.get(key(i))
+    man = eng.manifest
+
+    def state():
+        return (
+            man.snapshot(),
+            [dataclasses.astuple(m) for m in man.files.values()],
+            dict(man.rr_cursors),
+            (man.logical_tick, man.next_file_id, man.next_seqnum),
+            dict(eng.access_ticks),
+            set(eng.metrics.unique_keys),
+            (tmp_path / "MANIFEST.log").read_bytes(),
+        )
+
+    before = state()
+    assert eng.access_ticks and eng.metrics.unique_keys
+    evaluate_triggers(eng.view)
+    job = select_compaction(eng.view, 1, Trigger(TriggerKind.LEVEL_SATURATION, 1.0))
+    # the pick moves level 1's cursor in the job it returns, not in the manifest
+    assert job.cursors and job.cursors[1] != man.rr_cursors[1]
+    assert state() == before
+    eng.close()
+
+
+def test_failed_job_moves_no_cursor(tmp_path, monkeypatch):
+    # a pick's cursor is logged by its job's edit alone, so a job whose
+    # write fails leaves the cursor where it was, also in the next edit
+    eng = make_engine(tmp_path, "rr")
+    _rr_tree(eng)
+    before = dict(eng.manifest.rr_cursors)
+    eng.auto_compact = False
+    fill(eng, eng.cfg.entries_per_buffer, start=3, step=5)  # a second level-1 run
+    write = eng.write_sorted_slots
+
+    def push_fails(slots, level, oldest_ts_tick):
+        # level 1's runs merge in place, then the push into level 2 fails
+        if level > 1:
+            raise StorageIOError("injected write fault")
+        return write(slots, level, oldest_ts_tick)
+
+    monkeypatch.setattr(eng, "write_sorted_slots", push_fails)
+    with pytest.raises(StorageIOError):
+        eng.quiesce()
+    assert eng.manifest.rr_cursors == before
+    monkeypatch.undo()
+    fill(eng, eng.cfg.entries_per_buffer, start=1, step=5)  # the next edit, a flush
+    eng.close()
+    with LsmEngine(str(tmp_path), small_config(), "rr") as reopened:
+        assert reopened.manifest.rr_cursors == before
 
 
 def _replay_with_breaks(directory, preset, reopen):
@@ -486,7 +551,7 @@ def test_least_overlap_grandparent_weighs_parent_merge(tmp_path):
         eng.auto_compact = False
         trig = Trigger(TriggerKind.LEVEL_SATURATION, 1.0)
         while eng.manifest.run_count(1):
-            execute_compaction(eng, select_compaction(eng, 1, trig))
+            execute_compaction(eng, select_compaction(eng.view, 1, trig))
         assert eng.manifest.run_count(3) == 1
         # misses level 3 but spans four level-2 files: 4 bytes per byte moved
         fill(eng, 16, start=10_000, step=200)
@@ -531,8 +596,8 @@ def test_chain_falls_through_to_decidable_policy(tmp_path):
     eng.auto_compact = False
     fill(eng, eng.cfg.entries_per_buffer)
     metas = _level_metas(eng.manifest, 1)
-    picked = _pick_victims(
-        eng, 1, metas, 1, Trigger(TriggerKind.LEVEL_SATURATION, 1.0)
+    picked, _cursors = _pick_victims(
+        eng.view, 1, metas, 1, Trigger(TriggerKind.LEVEL_SATURATION, 1.0)
     )
     # no tombstones anywhere: MostTombstones abstained, LO+1 decided
     assert len(picked) == 1
@@ -570,14 +635,14 @@ def test_density_job_rewrites_the_file_that_fired(tmp_path):
         movement=(MovementPolicy.LEAST_OVERLAP_PARENT,),
     )
     eng = LsmEngine(str(tmp_path), small_config(), dens, auto_compact=False, debug_checks=True)
-    (level_no, trigger), = evaluate_triggers(eng)
-    fired = [m.file_id for m in compaction._nominees(eng, level_no, trigger)]
+    (level_no, trigger), = evaluate_triggers(eng.view)
+    fired = [m.file_id for m in compaction._nominees(eng.view, level_no, trigger)]
     everything = compaction._level_metas(eng.manifest, level_no)
     lo1_first = compaction._rank_candidates(
-        eng, level_no, everything, MovementPolicy.LEAST_OVERLAP_PARENT, trigger
+        eng.view, level_no, everything, MovementPolicy.LEAST_OVERLAP_PARENT, trigger
     )[0]
     assert len(fired) == 1 and lo1_first.file_id not in fired
-    assert select_compaction(eng, level_no, trigger).victim_ids == fired
+    assert select_compaction(eng.view, level_no, trigger).victim_ids == fired
     eng.close()
 
 
@@ -603,12 +668,12 @@ def test_in_place_rewrite_takes_the_files_between_its_victims(tmp_path):
     eng = LsmEngine(str(tmp_path), small_config(), stale, auto_compact=False, debug_checks=True)
     man = eng.manifest
     assert man.deepest_nonempty_level() == 2 and man.run_count(2) == 1
-    (level_no, trigger), = evaluate_triggers(eng)
+    (level_no, trigger), = evaluate_triggers(eng.view)
     assert level_no == 2
     (run,) = man.runs_in_level(2)
-    stale_ids = {m.file_id for m in compaction._nominees(eng, 2, trigger)}
+    stale_ids = {m.file_id for m in compaction._nominees(eng.view, 2, trigger)}
     assert [fid in stale_ids for fid in run] == [True, True] + [False] * 4 + [True, True]
-    job = select_compaction(eng, 2, trigger)
+    job = select_compaction(eng.view, 2, trigger)
     # the victims are the first three stale files; the span takes the four
     # young files between the second and the third
     assert job.victim_ids == run[:7] and job.target_level == 2
@@ -624,9 +689,9 @@ def test_livelock_error_names_the_repeating_job(tmp_path, monkeypatch):
     fill(eng, 2 * eng.cfg.entries_per_buffer)
     stale = Trigger(TriggerKind.FILE_STALENESS, 1.0)
 
-    def always_stale(engine):
-        engine.manifest.logical_tick += 2  # every file outlives the ttl
-        return [(engine.manifest.deepest_nonempty_level(), stale)]
+    def always_stale(view):
+        view.manifest.logical_tick += 2  # every file outlives the ttl
+        return [(view.manifest.deepest_nonempty_level(), stale)]
 
     monkeypatch.setattr(compaction, "evaluate_triggers", always_stale)
     with pytest.raises(InvariantViolation) as err:

@@ -835,7 +835,7 @@ def test_filters_of_another_bits_per_key_have_no_false_negatives(tmp_path):
 # the lookup hashed once and binary-searched pages: summed LookupResult
 # counters (filter_probes, filter_blocks_read, index_blocks_read,
 # data_pages_read), io_pages, cache hits and misses per kind, and the
-# sorted last_access_tick of the live files, by which the cold preset picks.
+# sorted access tick of the live files, by which the cold preset picks.
 PINNED_ACCOUNTING = {
     "tier": {
         "counters": (3515, 1784, 1614, 2944),
@@ -907,7 +907,9 @@ def lookup_accounting(directory, preset):
             "io_pages": eng.metrics.io_pages,
             "hits": dict(eng.cache.hits),
             "misses": dict(eng.cache.misses),
-            "ticks": sorted(m.last_access_tick for m in eng.manifest.files.values()),
+            "ticks": sorted(
+                eng.access_ticks.get(fid, m.created_tick) for fid, m in eng.manifest.files.items()
+            ),
         }
 
 
