@@ -4,9 +4,13 @@ A strategy combines a trigger set (when to compact), a data layout (how
 runs are arranged per level), a granularity (how much one job moves) and a
 data-movement policy chain (which files to move). An ensemble is named
 ``triggers/layout/granularity/chain``; the ten presets name common designs.
-The planner, ``evaluate_triggers`` then ``select_compaction``, only reads a
-``TreeView`` and returns a job carrying the round-robin cursor its pick
-moves; ``execute_compaction`` writes its files and applies one manifest edit.
+
+The planner only reads a ``TreeView``: ``evaluate_triggers`` asks each
+trigger kind's predicate (``_FIRES``) of each nonempty level, and
+``select_compaction`` builds one job from a victim rule (the whole level,
+or ``granularity.n`` files the movement chain picks) and a placement rule
+(a new run exactly when the target level is tiered). ``execute_compaction``
+writes the job's files and applies one manifest edit, cursor included.
 """
 
 from __future__ import annotations
@@ -50,16 +54,27 @@ _FILE_SCOPED = (
 )
 
 
+_DEFAULT_VALUES = {
+    TriggerKind.LEVEL_SATURATION: 1.0,
+    TriggerKind.SPACE_AMP: 0.5,
+    # above the typical per-file delete fraction, so only tombstone-saturated
+    # files fire rather than every file
+    TriggerKind.TOMBSTONE_DENSITY: 0.2,
+}
+
+
 @dataclass(frozen=True)
 class Trigger:
     kind: TriggerKind
-    # None selects the kind's default at evaluation time (e.g. run count = T,
-    # tombstone TTL = the engine's delete persistence threshold).
+    # None selects the kind's default: a constant of ``_DEFAULT_VALUES``, else
+    # one read at evaluation time (run count = T, tombstone TTL = the config's
+    # delete persistence threshold)
     value: float | None = None
 
     def __post_init__(self) -> None:
-        v = self.value
         k = self.kind
+        v = _DEFAULT_VALUES.get(k) if self.value is None else self.value
+        object.__setattr__(self, "value", v)
         if v is None:
             if k is TriggerKind.FILE_STALENESS:
                 raise InvalidArgument("file staleness needs a ttl")
@@ -126,6 +141,8 @@ class Granularity:
     def __post_init__(self) -> None:
         if self.kind is GranularityKind.FILES and self.n < 2:
             raise InvalidArgument("Files granularity needs n >= 2")
+        if self.kind is not GranularityKind.FILES and self.n != 1:
+            raise InvalidArgument(f"{self.kind.value} granularity moves no set number of files")
 
 
 class MovementPolicy(Enum):
@@ -168,18 +185,14 @@ class CompactionStrategy:
             raise InvalidArgument("movement chain must end with a decidable policy")
 
 
-# Each axis of an ensemble name maps its words to what they build. A
-# trigger word's entry is its kind and the value used when the token has
-# no argument.
+# Each axis of an ensemble name maps its words to what they build.
 _TRIGGER_WORDS = {
-    "sat": (TriggerKind.LEVEL_SATURATION, 1.0),
-    "runs": (TriggerKind.SORTED_RUN_COUNT, None),
-    "sa": (TriggerKind.SPACE_AMP, 0.5),
-    # above the typical per-file delete fraction, so only tombstone-saturated
-    # files fire rather than every file
-    "dens": (TriggerKind.TOMBSTONE_DENSITY, 0.2),
-    "ttl": (TriggerKind.TOMBSTONE_TTL, None),
-    "stale": (TriggerKind.FILE_STALENESS, None),
+    "sat": TriggerKind.LEVEL_SATURATION,
+    "runs": TriggerKind.SORTED_RUN_COUNT,
+    "sa": TriggerKind.SPACE_AMP,
+    "dens": TriggerKind.TOMBSTONE_DENSITY,
+    "ttl": TriggerKind.TOMBSTONE_TTL,
+    "stale": TriggerKind.FILE_STALENESS,
 }
 _LAYOUT_WORDS = {k.value: k for k in LayoutKind}
 _GRANULARITY_WORDS = {k.value: k for k in GranularityKind}
@@ -193,9 +206,8 @@ def _no_arg(value, arg: str | None):
     return value
 
 
-def _trigger(entry: tuple[TriggerKind, float | None], arg: str | None) -> Trigger:
-    kind, default = entry
-    return Trigger(kind, default if arg is None else float(arg))
+def _trigger(kind: TriggerKind, arg: str | None) -> Trigger:
+    return Trigger(kind, None if arg is None else float(arg))
 
 
 def _layout(kind: LayoutKind, arg: str | None) -> DataLayout:
@@ -330,39 +342,6 @@ def _ttl_deadline(level: int, d_th: float, realized_levels: int) -> float:
     return level * d_th / (realized_levels + 1)
 
 
-def _space_amp_quick(view) -> float:
-    """Cheap trigger-side estimate of obsolete over live bytes.
-
-    The live set is approximated by the unique keys ingested this session
-    (or, after a reopen, by the largest run of the deepest level), so
-    duplication across sibling runs is visible without a full merge; exact
-    measurement stays in the metrics pipeline.
-    """
-    man = view.manifest
-    deepest = man.deepest_nonempty_level()
-    if deepest == 0:
-        return 0.0
-    largest = max(
-        sum(man.files[fid].entry_count for fid in run)
-        for run in man.runs_in_level(deepest)
-    )
-    live = max(largest, len(view.live_keys))
-    rest = man.total_entries() - live
-    return max(rest / live, 0.0) if live else 0.0
-
-
-def _sa_actionable_level(manifest) -> int | None:
-    """Level a space-amp job should service, or None if nothing to do."""
-    for level_no in range(1, manifest.level_count() + 1):
-        if manifest.run_count(level_no) >= 2:
-            return level_no
-    if manifest.nonempty_level_count() >= 2:
-        for level_no in range(1, manifest.level_count() + 1):
-            if manifest.run_count(level_no):
-                return level_no
-    return None
-
-
 def _expired(
     view, metas: list[SortedFileMeta], level_no: int, d_th: float | None
 ) -> list[SortedFileMeta]:
@@ -395,8 +374,68 @@ def _nominees(view, level_no: int, trigger: Trigger) -> list[SortedFileMeta]:
     if kind is TriggerKind.FILE_STALENESS:
         now = man.logical_tick
         return [m for m in metas if now - m.created_tick > trigger.value]
-    frac = trigger.value if trigger.value is not None else 0.2
+    frac = trigger.value
     return [m for m in metas if m.entry_count and m.tombstone_count / m.entry_count >= frac]
+
+
+def _saturated(view, level_no: int, trigger: Trigger, run_counts: dict) -> bool:
+    """Level saturation: the level holds more than ``trigger.value`` times
+    its capacity, or the arrival rule holds. That rule, which decides most
+    of the bytes moved at desk scale, fires a leveled level holding more
+    than one run, so a flushed run merges into it, and, under whole-level
+    granularity, a leveled level 1 once the tree is deeper, so level 1 is
+    pushed into its parent on every flush."""
+    man = view.manifest
+    deepest = max(run_counts)
+    level_bytes = man.entries_in_level(level_no) * view.cfg.entry_bytes
+    if level_bytes > trigger.value * view.cfg.level_capacity_bytes(level_no):
+        return True
+    if view.strategy.layout.is_tiered(level_no, deepest):
+        return False
+    whole_level = view.strategy.granularity.kind is GranularityKind.LEVEL
+    return run_counts[level_no] > 1 or (whole_level and level_no == 1 and deepest > 1)
+
+
+def _space_amplified(view, level_no: int, trigger: Trigger, run_counts: dict) -> bool:
+    """Space amp fires on the level its job services (the first level of
+    several runs, else the shallowest once two levels hold data) when a
+    cheap estimate of obsolete over live bytes exceeds the trigger's ratio.
+
+    The live set is approximated by the unique keys ingested this session
+    (or, after a reopen, by the largest run of the deepest level), so
+    duplication across sibling runs is visible without a full merge; exact
+    measurement stays in the metrics pipeline.
+    """
+    man = view.manifest
+    actionable = next((n for n, count in run_counts.items() if count >= 2), None)
+    if actionable is None and len(run_counts) >= 2:
+        actionable = min(run_counts)
+    if level_no != actionable:
+        return False
+    # the estimate, the costlier test, runs on that level alone
+    largest = max(
+        sum(man.files[fid].entry_count for fid in run)
+        for run in man.runs_in_level(max(run_counts))
+    )
+    live = max(largest, len(view.live_keys))
+    return live > 0 and (man.total_entries() - live) / live > trigger.value
+
+
+# Each trigger kind's firing predicate for one nonempty level, given each
+# nonempty level's run count, shallowest first.
+_FIRES = {
+    TriggerKind.LEVEL_SATURATION: _saturated,
+    TriggerKind.SPACE_AMP: _space_amplified,
+    # no value means the size ratio T
+    TriggerKind.SORTED_RUN_COUNT: lambda view, level_no, trigger, run_counts: (
+        run_counts[level_no] >= (trigger.value or view.cfg.size_ratio)
+    ),
+    # a file-scoped kind fires when a file of the level satisfies it
+    **{
+        kind: lambda view, level_no, trigger, run_counts: _nominees(view, level_no, trigger)
+        for kind in _FILE_SCOPED
+    },
+}
 
 
 def evaluate_triggers(view: TreeView) -> list[tuple[int, Trigger]]:
@@ -404,45 +443,14 @@ def evaluate_triggers(view: TreeView) -> list[tuple[int, Trigger]]:
 
     Ordered by the strategy's trigger priority, then shallower level first.
     """
-    man = view.manifest
-    deepest = man.deepest_nonempty_level()
-    fired: list[tuple[int, Trigger]] = []
-
-    for trig in view.strategy.triggers:
-        kind = trig.kind
-        if kind is TriggerKind.SPACE_AMP:
-            if _space_amp_quick(view) > (trig.value or 0.5):
-                level = _sa_actionable_level(man)
-                if level is not None:
-                    fired.append((level, trig))
-            continue
-        for level_no in range(1, man.level_count() + 1):
-            runs = man.runs_in_level(level_no)
-            if not runs:
-                continue
-            if kind is TriggerKind.LEVEL_SATURATION:
-                tiered = view.strategy.layout.is_tiered(level_no, deepest)
-                threshold = trig.value if trig.value is not None else 1.0
-                level_bytes = man.entries_in_level(level_no) * view.cfg.entry_bytes
-                over = level_bytes > threshold * view.cfg.level_capacity_bytes(level_no)
-                multi_run = not tiered and len(runs) > 1
-                # whole-level granularity compacts the arrival level into its
-                # parent on every flush once the tree has grown deeper
-                whole_level = (
-                    view.strategy.granularity.kind is GranularityKind.LEVEL
-                    and not tiered
-                    and level_no == 1
-                    and deepest > 1
-                )
-                if over or multi_run or whole_level:
-                    fired.append((level_no, trig))
-            elif kind is TriggerKind.SORTED_RUN_COUNT:
-                k = trig.value if trig.value is not None else view.cfg.size_ratio
-                if len(runs) >= k:
-                    fired.append((level_no, trig))
-            elif _nominees(view, level_no, trig):  # a file-scoped kind
-                fired.append((level_no, trig))
-    return fired
+    # each nonempty level's run count, read once for every predicate
+    run_counts = {n: len(level) for n, level in enumerate(view.manifest.levels, 1) if level}
+    return [
+        (level_no, trig)
+        for trig in view.strategy.triggers
+        for level_no in run_counts
+        if _FIRES[trig.kind](view, level_no, trig, run_counts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -553,20 +561,6 @@ def _overlapping_targets(
     return _overlapping(view, low, high, level_no)
 
 
-def _purge_allowed(view, target_level: int, target_covers_level: bool) -> bool:
-    """Tombstones may be dropped when nothing lives below the target and the
-    target level cannot hide older versions outside the merge inputs."""
-    man = view.manifest
-    deepest = man.deepest_nonempty_level()
-    if deepest > target_level:
-        return False
-    tiered_target = view.strategy.layout.is_tiered(target_level, max(deepest, 1))
-    if not tiered_target:
-        # key-disjoint single run: files outside the merge cannot share keys
-        return True
-    return target_covers_level or man.run_count(target_level) == 0
-
-
 def select_compaction(view: TreeView, level_no: int, trigger: Trigger) -> CompactionJob:
     """Turn one firing trigger into a concrete job."""
     man = view.manifest
@@ -574,58 +568,63 @@ def select_compaction(view: TreeView, level_no: int, trigger: Trigger) -> Compac
     if not metas:
         raise InvalidArgument(f"level {level_no} is empty")
     deepest = man.deepest_nonempty_level()
-    tiered = view.strategy.layout.is_tiered(level_no, deepest)
-    target_tiered = view.strategy.layout.is_tiered(level_no + 1, deepest)
-    gran = view.strategy.granularity.kind
-    by_file = gran in (GranularityKind.FILE, GranularityKind.FILES)
+    layout = view.strategy.layout
+    tiered = layout.is_tiered(level_no, deepest)
+    by_file = view.strategy.granularity.kind in (GranularityKind.FILE, GranularityKind.FILES)
     file_scoped = trigger.kind in _FILE_SCOPED
+    # restore the one-run-per-level leveling invariant in place
+    merges_runs = (by_file or file_scoped) and not tiered and man.run_count(level_no) > 1
+    # whole-level granularity merges a leveled level into its parent
+    # outright, so a freshly flushed run empties the level instead of
+    # settling in it
+    merges_parent = not (by_file or file_scoped or tiered)
 
-    def job(victims, target_level, targets, add_mode, covers_target, cursors=None):
-        return CompactionJob(
-            source_level=level_no,
-            victim_ids=[m.file_id for m in victims],
-            target_level=target_level,
-            target_ids=[m.file_id for m in targets],
-            pseudo=not targets and target_level != level_no and by_file and not tiered,
-            purge=_purge_allowed(view, target_level, covers_target),
-            add_mode=add_mode,
-            trigger=trigger,
-            cursors=cursors or {},
-        )
-
-    if tiered:
-        if file_scoped and level_no == deepest:
-            # merge the level's runs in place, as a leveled bottom rewrites
-            # its victims in place, rather than dig a new level below it
-            return job(metas, level_no, [], ADD_NEW_RUN, covers_target=True)
-        # merge all sorted runs of the level into the next level
-        if target_tiered:
-            return job(metas, level_no + 1, [], ADD_NEW_RUN, covers_target=False)
-        targets = _overlapping_targets(view, metas, level_no + 1)
-        return job(metas, level_no + 1, targets, ADD_SPLICE, covers_target=False)
-
-    if len(man.runs_in_level(level_no)) > 1 and (file_scoped or by_file):
-        # restore the one-run-per-level leveling invariant in place
-        return job(metas, level_no, [], ADD_SPLICE, covers_target=True)
-
-    if not file_scoped and not by_file:
-        # whole-level granularity merges the level into its parent outright,
-        # so a freshly flushed run empties the level instead of settling in it
-        targets = _level_metas(man, level_no + 1)
-        return job(metas, level_no + 1, targets, ADD_SPLICE, covers_target=True)
-
-    n = view.strategy.granularity.n if gran is GranularityKind.FILES else 1
-    candidates = _nominees(view, level_no, trigger) if file_scoped else metas
-    victims, cursors = _pick_victims(view, level_no, candidates, n, trigger)
-    if file_scoped and level_no == deepest:
-        # rewrite in place, which drops expired tombstones at the tree
-        # bottom; the span between the first and last victim keeps the
-        # output from overlapping a file that was not picked
-        span = _overlapping_targets(view, victims, level_no)
-        return job(span, level_no, [], ADD_SPLICE, covers_target=False, cursors=cursors)
-    targets = _overlapping_targets(view, victims, level_no + 1)
-    mode = ADD_NEW_RUN if target_tiered else ADD_SPLICE
-    return job(victims, level_no + 1, targets, mode, covers_target=False, cursors=cursors)
+    # the victim rule: the whole level moves, or the movement chain picks
+    # n files (among the trigger's nominees)
+    whole = tiered or merges_parent or merges_runs
+    victims, cursors = metas, {}
+    if not whole:
+        candidates = _nominees(view, level_no, trigger) if file_scoped else metas
+        n = view.strategy.granularity.n
+        victims, cursors = _pick_victims(view, level_no, candidates, n, trigger)
+    # in place: a level's runs merge, or a file-scoped trigger at the bottom
+    # rewrites its victims there, which drops expired tombstones, rather
+    # than dig a new level below it
+    in_place = merges_runs or (file_scoped and level_no == deepest)
+    if in_place and not whole:
+        # the span between the first and last victim keeps the output from
+        # overlapping a file that was not picked
+        victims = _overlapping_targets(view, victims, level_no)
+    target_level = level_no if in_place else level_no + 1
+    target_tiered = layout.is_tiered(target_level, deepest)
+    # no targets in place, nor when a tiered level's runs land on a tiered
+    # parent; else the parent's files the victims overlap, or all of them
+    if in_place or (tiered and target_tiered):
+        targets = []
+    elif merges_parent:
+        targets = _level_metas(man, target_level)
+    else:
+        targets = _overlapping_targets(view, victims, target_level)
+    # tombstones may be dropped when nothing lives below the target and the
+    # target level cannot hide older versions outside the merge inputs: a
+    # leveled target is one key-disjoint run, so files outside the merge
+    # cannot share keys, and a tiered one must be empty or merged whole
+    covers_target = merges_parent or (in_place and whole)
+    purge = deepest <= target_level and (
+        not target_tiered or covers_target or man.run_count(target_level) == 0
+    )
+    return CompactionJob(
+        source_level=level_no,
+        victim_ids=[m.file_id for m in victims],
+        target_level=target_level,
+        target_ids=[m.file_id for m in targets],
+        pseudo=not targets and not in_place and by_file and not tiered,
+        purge=purge,
+        # the placement rule: a new run exactly when the target is tiered
+        add_mode=ADD_NEW_RUN if target_tiered else ADD_SPLICE,
+        trigger=trigger,
+        cursors=cursors,
+    )
 
 
 # ---------------------------------------------------------------------------

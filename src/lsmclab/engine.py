@@ -65,14 +65,13 @@ class LsmEngine:
         directory: str,
         cfg: TreeConfig | None = None,
         strategy: CompactionStrategy | str = "full",
-        auto_compact: bool = True,
         debug_checks: bool = False,
     ) -> None:
         self.cfg = cfg or TreeConfig()
         if isinstance(strategy, str):
             strategy = get_strategy(strategy)
         self.strategy = strategy
-        self.auto_compact = auto_compact
+        self.auto_compact = True  # False leaves flushed runs for the caller to compact
         self.debug_checks = debug_checks
         self.directory = directory
         self.manifest = Manifest(directory)

@@ -12,17 +12,30 @@ a reopen. Before each job, planning from the manifest reloaded from disk
 must give the job about to run. The names carry ``stale:300``;
 ``--staleness`` replaces that argument.
 
-``tests/test_compaction.py`` runs a covering subset (``SUBSET``), and
-``tests/test_cli.py`` pins the subset's ``metrics.csv``. Run the whole grid
-with::
+Each replay yields one row: compaction bytes written, jobs, pseudo jobs,
+level count, a digest of the final tree (each run's file ids, min keys and
+entry counts) and a digest of the job sequence (each job's levels, victim
+and target ids, pseudo and purge flags and cursors). ``tests/data/grid.csv``
+pins the rows of every ensemble under both probe settings of the CI grid
+job (staleness 300, D_th 400, seed 1 and staleness 150, D_th 200, seed 2),
+so a change to any ensemble's behaviour shows.
+
+``tests/test_compaction.py`` runs a covering subset (``SUBSET``) and
+compares its rows, and ``tests/test_cli.py`` pins the subset's
+``metrics.csv``. Run the whole grid, and compare its rows, with::
 
     PYTHONPATH=src python tests/ensembles.py --staleness 300 --dth 400 --seed 1
+
+``--rewrite`` writes that setting's rows into ``tests/data/grid.csv``
+instead, for a change that sets out to move them.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -76,6 +89,13 @@ SUBSET = tuple(
 )
 
 
+GRID_CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "grid.csv")
+FIELDS = (
+    "staleness", "dth", "seed", "ensemble",
+    "bytes_written", "jobs", "pseudo_jobs", "levels", "tree", "job_sequence",
+)
+
+
 def _key(i: int) -> bytes:
     return b"%06d" % i
 
@@ -112,12 +132,17 @@ def probe_ops(seed: int):
         yield k, None if rng.random() < 0.25 else b"v%d" % i
 
 
+def _digest(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
 @contextmanager
 def _jobs_replanned_from_disk(directory: str):
     """Before each job, plan again from the manifest reloaded from
     ``directory``, with the engine's strategy, config and session inputs,
     and require the job about to run, cursor included: the manifest's log
-    holds all the tree state the planner reads.
+    holds all the tree state the planner reads. Yields the list each job
+    run is recorded in, without its placement mode.
 
     A reload replays the log's edits in order, so replaying only the edits
     appended since the last job gives the manifest a fresh open would load.
@@ -126,6 +151,7 @@ def _jobs_replanned_from_disk(directory: str):
     log_path = os.path.join(directory, MANIFEST_NAME)
     replayed = 0  # bytes of the log applied to ``reloaded``
     execute = compaction.execute_compaction
+    jobs = []
 
     def checked(engine, job):
         nonlocal replayed
@@ -140,22 +166,27 @@ def _jobs_replanned_from_disk(directory: str):
         replanned = compaction.select_compaction(view, level_no, trigger)
         if replanned != job:
             raise AssertionError(f"planned from the reloaded manifest {replanned}, ran {job}")
+        jobs.append(
+            (job.source_level, job.target_level, job.victim_ids, job.target_ids,
+             job.pseudo, job.purge, sorted(job.cursors.items()))
+        )
         return execute(engine, job)
 
     compaction.execute_compaction = checked
     try:
-        yield
+        yield jobs
     finally:
         compaction.execute_compaction = execute
 
 
-def check(name: str, directory: str, staleness: float, d_th: int, seed: int) -> None:
-    """Replay the probe on one ensemble; raises on the first fault."""
+def check(name: str, directory: str, staleness: float, d_th: int, seed: int) -> tuple:
+    """Replay the probe on one ensemble and return its row; raises on the
+    first fault."""
     cfg = tree_config(d_th)
     ensemble = parse_ensemble(re.sub(r"stale:[^+/]*", f"stale:{staleness:g}", name))
     oracle: dict[bytes, bytes] = {}
     with (
-        _jobs_replanned_from_disk(directory),
+        _jobs_replanned_from_disk(directory) as jobs,
         LsmEngine(directory, cfg, ensemble, debug_checks=True) as engine,
     ):
         for k, v in probe_ops(seed):
@@ -172,21 +203,62 @@ def check(name: str, directory: str, staleness: float, d_th: int, seed: int) -> 
         if engine.manifest.level_count() > 8:
             raise AssertionError(f"{engine.manifest.level_count()} levels after quiesce")
         _verify(engine, oracle, "before reopen")
+        man = engine.manifest
+        tree = [
+            [[(fid, man.files[fid].min_key, man.files[fid].entry_count) for fid in run]
+             for run in level]
+            for level in man.snapshot()
+        ]
+        metrics = engine.metrics
+        row = (
+            f"{staleness:g}", str(d_th), str(seed), name,
+            str(metrics.bytes_compaction_written), str(metrics.compaction_count),
+            str(metrics.pseudo_compaction_count), str(man.level_count()),
+            _digest(tree), _digest(jobs),
+        )
     with LsmEngine(directory, cfg, ensemble, debug_checks=True) as engine:
         engine.manifest.check()
         _verify(engine, oracle, "after reopen")
+    return row
 
 
-def failures(names, staleness: float, d_th: int, seed: int) -> dict[str, str]:
-    """Each failing ensemble's name mapped to its error."""
-    out = {}
+def replay(names, staleness: float, d_th: int, seed: int) -> tuple[dict, dict[str, str]]:
+    """The rows of the ensembles that replayed cleanly, and each failing
+    ensemble's name mapped to its error."""
+    rows, failed = {}, {}
     for name in names:
         with tempfile.TemporaryDirectory(prefix="lsmclab-grid-") as directory:
             try:
-                check(name, directory, staleness, d_th, seed)
+                rows[name] = check(name, directory, staleness, d_th, seed)
             except Exception as exc:  # noqa: BLE001 - every fault is a finding
-                out[name] = f"{type(exc).__name__}: {exc}"
-    return out
+                failed[name] = f"{type(exc).__name__}: {exc}"
+    return rows, failed
+
+
+def _pinned() -> dict[tuple, tuple]:
+    """``tests/data/grid.csv``'s rows keyed by setting and ensemble."""
+    with open(GRID_CSV, newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert tuple(lines[0]) == FIELDS, f"{GRID_CSV} has columns {lines[0]}"
+    return {tuple(line[:4]): tuple(line) for line in lines[1:]}
+
+
+def differing(rows: dict) -> list[tuple]:
+    """``(pinned, replayed)`` for each replayed row that differs from its
+    pinned row; pinned is None when the file has no row for it."""
+    pinned = _pinned()
+    return [
+        (pinned.get(row[:4]), row) for row in rows.values() if pinned.get(row[:4]) != row
+    ]
+
+
+def _rewrite(rows: dict) -> None:
+    pinned = _pinned() if os.path.exists(GRID_CSV) else {}
+    pinned.update((row[:4], row) for row in rows.values())
+    with open(GRID_CSV, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(FIELDS)
+        out.writerows(pinned.values())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -194,17 +266,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--staleness", type=float, default=300.0)
     parser.add_argument("--dth", type=int, default=400)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--rewrite", action="store_true", help="write the rows into tests/data/grid.csv"
+    )
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    failed = failures(GRID, args.staleness, args.dth, args.seed)
+    rows, failed = replay(GRID, args.staleness, args.dth, args.seed)
     for name, error in failed.items():
         print(f"{name}: {error}")
+    if args.rewrite:
+        _rewrite(rows)
+        changed = []
+    else:
+        changed = differing(rows)
+        for pinned, row in changed:
+            print(f"pinned   {','.join(pinned) if pinned else '(no row)'}")
+            print(f"replayed {','.join(row)}")
     print(
-        f"{len(failed)} of {len(GRID)} ensembles failed "
+        f"{len(failed)} of {len(GRID)} ensembles failed and {len(changed)} rows differ "
+        f"from {os.path.relpath(GRID_CSV)} "
         f"(staleness {args.staleness:g}, D_th {args.dth}, seed {args.seed}) "
         f"in {time.perf_counter() - start:.1f} s"
     )
-    return 1 if failed else 0
+    return 1 if failed or changed else 0
 
 
 if __name__ == "__main__":

@@ -163,6 +163,27 @@ def test_layout_tiered_predicates():
 def test_files_granularity_needs_n():
     with pytest.raises(InvalidArgument):
         Granularity(GranularityKind.FILES, 1)
+    # the other kinds move no set number of files, so they take no n
+    for kind in (GranularityKind.LEVEL, GranularityKind.SORTED_RUN, GranularityKind.FILE):
+        assert Granularity(kind).n == 1
+        with pytest.raises(InvalidArgument):
+            Granularity(kind, 3)
+
+
+def test_constant_trigger_defaults_fill_in():
+    # a trigger built without a value is its kind's constant default, as an
+    # ensemble's bare word is; run count and tombstone TTL read theirs from
+    # the config when evaluated
+    for kind, default in (
+        (TriggerKind.LEVEL_SATURATION, 1.0),
+        (TriggerKind.SPACE_AMP, 0.5),
+        (TriggerKind.TOMBSTONE_DENSITY, 0.2),
+    ):
+        assert Trigger(kind) == Trigger(kind, default)
+    bare = get_strategy("sa+dens+sat/leveling/file/lo1")
+    assert bare.triggers == get_strategy("sa:0.5+dens:0.2+sat:1/leveling/file/lo1").triggers
+    assert Trigger(TriggerKind.SORTED_RUN_COUNT).value is None
+    assert Trigger(TriggerKind.TOMBSTONE_TTL).value is None
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +436,24 @@ def ranked_names(tmp_path, strategy_name, policy, prep):
 
 
 def test_round_robin_cursor_advances(tmp_path):
-    eng = make_engine(tmp_path, "rr")
+    # each pick takes the first file past the cursor in key order, and the
+    # picks wrap around past the level's last file
     from lsmclab.compaction import _pick_victims, _level_metas
 
-    fill(eng, eng.cfg.entries_per_buffer)
-    metas = _level_metas(eng.manifest, 1)
+    eng = make_engine(tmp_path, "rr")
+    _rr_tree(eng)
+    man = eng.manifest
+    metas = _level_metas(man, 1)
+    assert len(metas) == 4 and metas == sorted(metas, key=lambda m: m.min_key)
     trig = Trigger(TriggerKind.LEVEL_SATURATION, 1.0)
-    (first,), cursors = _pick_victims(eng.view, 1, metas, 1, trig)
-    assert cursors == {1: first.min_key}
-    eng.manifest.apply(VersionEdit(cursors=cursors))
-    (again,), _cursors = _pick_victims(eng.view, 1, metas, 1, trig)
-    assert again.min_key != first.min_key or len(metas) == 1
+    start = sum(m.min_key <= man.rr_cursors[1] for m in metas)
+    picks = []
+    for _ in range(2 * len(metas)):
+        (picked,), cursors = _pick_victims(eng.view, 1, metas, 1, trig)
+        assert cursors == {1: picked.min_key}
+        man.apply(VersionEdit(cursors=cursors))
+        picks.append(metas.index(picked))
+    assert picks == [(start + i) % len(metas) for i in range(2 * len(metas))]
     eng.close()
 
 
@@ -611,9 +639,11 @@ def test_chain_falls_through_to_decidable_policy(tmp_path):
 def test_ensemble_grid_subset_settles():
     # every trigger set x movement chain pair, plus ensembles that once
     # livelocked or split a leveled run; the whole grid runs as
-    # `python tests/ensembles.py`
-    failed = ensembles.failures(ensembles.SUBSET, staleness=300.0, d_th=400, seed=1)
+    # `python tests/ensembles.py`; each one's row must equal its row in
+    # tests/data/grid.csv
+    rows, failed = ensembles.replay(ensembles.SUBSET, staleness=300.0, d_th=400, seed=1)
     assert failed == {}
+    assert ensembles.differing(rows) == []
 
 
 def test_density_job_rewrites_the_file_that_fired(tmp_path):
@@ -634,7 +664,8 @@ def test_density_job_rewrites_the_file_that_fired(tmp_path):
         granularity=Granularity(GranularityKind.FILE),
         movement=(MovementPolicy.LEAST_OVERLAP_PARENT,),
     )
-    eng = LsmEngine(str(tmp_path), small_config(), dens, auto_compact=False, debug_checks=True)
+    eng = LsmEngine(str(tmp_path), small_config(), dens, debug_checks=True)
+    eng.auto_compact = False
     (level_no, trigger), = evaluate_triggers(eng.view)
     fired = [m.file_id for m in compaction._nominees(eng.view, level_no, trigger)]
     everything = compaction._level_metas(eng.manifest, level_no)
@@ -665,7 +696,8 @@ def test_in_place_rewrite_takes_the_files_between_its_victims(tmp_path):
         granularity=Granularity(GranularityKind.FILES, 3),
         movement=(MovementPolicy.OLDEST,),
     )
-    eng = LsmEngine(str(tmp_path), small_config(), stale, auto_compact=False, debug_checks=True)
+    eng = LsmEngine(str(tmp_path), small_config(), stale, debug_checks=True)
+    eng.auto_compact = False
     man = eng.manifest
     assert man.deepest_nonempty_level() == 2 and man.run_count(2) == 1
     (level_no, trigger), = evaluate_triggers(eng.view)

@@ -216,7 +216,8 @@ def test_cold_cache_reads_each_meta_block_once_per_file(tmp_path, monkeypatch):
     assert not reads["index"]
     eng.close()
 
-    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True, auto_compact=False)
+    eng = LsmEngine(str(tmp_path), cfg, "lo1", debug_checks=True)
+    eng.auto_compact = False
     live = set(eng.manifest.files)
     replay(eng, 600)
     assert len(reads["filter"]) > 5 and set(reads["filter"]) <= live
@@ -225,11 +226,13 @@ def test_cold_cache_reads_each_meta_block_once_per_file(tmp_path, monkeypatch):
 
 
 def test_failed_filter_read_caches_and_charges_nothing(tmp_path, cfg, monkeypatch):
-    eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
+    eng = LsmEngine(str(tmp_path), cfg, "full")
+    eng.auto_compact = False
     fill(eng, cfg.entries_per_buffer, step=1)
     eng.close()
     # a reopened engine reads each filter from disk
-    eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
+    eng = LsmEngine(str(tmp_path), cfg, "full")
+    eng.auto_compact = False
     (meta,) = eng.manifest.files.values()
 
     def failing(self):
@@ -386,7 +389,8 @@ def reference_space_amp(eng):
 def test_space_amp_matches_reference_merge(tmp_path):
     cfg = small_config()
     # without auto compaction every flush stays a run of its own
-    eng = LsmEngine(str(tmp_path), cfg, "tier", auto_compact=False, debug_checks=True)
+    eng = LsmEngine(str(tmp_path), cfg, "tier", debug_checks=True)
+    eng.auto_compact = False
     keys = list(MIXED_KEYS) + [b"m%d" % i for i in range(20)]
     oracle = {}
     for r in range(6):
@@ -753,12 +757,14 @@ def test_oversize_put_rejected_before_any_state_changes(tmp_path):
 def test_truncated_file_reads_raise(tmp_path, cut):
     cfg = small_config()
     n = cfg.entries_per_buffer
-    eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
+    eng = LsmEngine(str(tmp_path), cfg, "full")
+    eng.auto_compact = False
     fill(eng, n, start=0, step=1)
     fill(eng, n, start=1000, step=1)
     eng.close()
     # a reopened engine reads each filter from disk
-    eng = LsmEngine(str(tmp_path), cfg, "full", auto_compact=False)
+    eng = LsmEngine(str(tmp_path), cfg, "full")
+    eng.auto_compact = False
     assert eng.manifest.run_count(1) == 2
     meta = eng.manifest.files[min(eng.manifest.files)]  # holds key(0) .. key(n - 1)
     at = {
@@ -808,7 +814,8 @@ def test_filters_of_another_bits_per_key_have_no_false_negatives(tmp_path):
     def write_and_check(cfg, phase):
         # each phase writes its own keys across the whole key range, so one
         # lookup tests filters of both k
-        with LsmEngine(directory, cfg, "tier", auto_compact=False) as eng:
+        with LsmEngine(directory, cfg, "tier") as eng:
+            eng.auto_compact = False
             for i in range(4 * n + n // 2):
                 k = key(4 * i + phase)
                 eng.put(k, value(i))

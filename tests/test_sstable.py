@@ -393,7 +393,8 @@ def test_job_files_match_single_file_writes(tmp_path, entry_bytes, page_bytes):
     per_file = cfg.entries_per_file
     entries = mixed_entries(2 * per_file + cfg.entries_per_page + 3)
     assert len({len(k) for k, _s, _kind, _v in entries}) > 10
-    eng = LsmEngine(str(tmp_path / "db"), cfg, "full", auto_compact=False)
+    eng = LsmEngine(str(tmp_path / "db"), cfg, "full")
+    eng.auto_compact = False
     metas = eng.write_sorted_slots(encode_slots(entries, cfg.entry_bytes), 2, 3)
     assert [m.entry_count for m in metas] == [per_file, per_file, cfg.entries_per_page + 3]
     for part, meta in enumerate(metas):
