@@ -97,33 +97,37 @@ class LayoutKind(Enum):
     LEVELING = "leveling"
     TIERING = "tiering"
     ONE_LEVELING = "one_leveling"
-    L_LEVELING = "l_leveling"
+    L_LEVELING = "l_leveling"  # tiered but for the deepest nonempty level
     HYBRID = "hybrid"
+
+
+# The layout words that name a flag string, as ``hybrid:<letters>`` spells
+# it: one letter per level, the last repeating.
+_WORD_FLAGS = {LayoutKind.LEVELING: "l", LayoutKind.TIERING: "t", LayoutKind.ONE_LEVELING: "tl"}
+_HYBRID_FLAGS = {"t": "tiered", "l": "leveled"}
 
 
 @dataclass(frozen=True)
 class DataLayout:
+    # HYBRID, or L_LEVELING, which no flag string spells; a word of
+    # _WORD_FLAGS builds HYBRID, so one_leveling equals hybrid:tl
     kind: LayoutKind
     flags: tuple[str, ...] = ()  # per-level "tiered"/"leveled" for HYBRID
 
     def __post_init__(self) -> None:
-        if self.kind is LayoutKind.HYBRID:
-            if not self.flags or any(f not in ("tiered", "leveled") for f in self.flags):
-                raise InvalidArgument("hybrid layout needs per-level tiered/leveled flags")
+        if (self.kind is LayoutKind.HYBRID) != bool(self.flags) or any(
+            f not in ("tiered", "leveled") for f in self.flags
+        ):
+            raise InvalidArgument("a hybrid layout, and only it, takes tiered/leveled flags")
+        letters = _WORD_FLAGS.get(self.kind)
+        if letters:
+            object.__setattr__(self, "flags", tuple(_HYBRID_FLAGS[f] for f in letters))
+            object.__setattr__(self, "kind", LayoutKind.HYBRID)
 
     def is_tiered(self, level: int, last_level: int) -> bool:
-        k = self.kind
-        if k is LayoutKind.LEVELING:
-            return False
-        if k is LayoutKind.TIERING:
-            return True
-        if k is LayoutKind.ONE_LEVELING:
-            return level == 1
-        if k is LayoutKind.L_LEVELING:
+        if self.kind is LayoutKind.L_LEVELING:
             return level < max(last_level, 1)
-        flags = self.flags
-        flag = flags[level - 1] if level - 1 < len(flags) else flags[-1]
-        return flag == "tiered"
+        return self.flags[min(level, len(self.flags)) - 1] == "tiered"
 
 
 class GranularityKind(Enum):
@@ -197,7 +201,6 @@ _TRIGGER_WORDS = {
 _LAYOUT_WORDS = {k.value: k for k in LayoutKind}
 _GRANULARITY_WORDS = {k.value: k for k in GranularityKind}
 _POLICY_WORDS = {p.value: p for p in MovementPolicy}
-_HYBRID_FLAGS = {"t": "tiered", "l": "leveled"}
 
 
 def _no_arg(value, arg: str | None):

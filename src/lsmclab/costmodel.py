@@ -1,4 +1,5 @@
-"""Closed-form analytical cost estimates per layout.
+"""Closed-form analytical cost estimates per layout, read level by level:
+a leveled level holds one sorted run, a tiered one T.
 
 All formulas are asymptotic expressions evaluated with unit constants, so
 they are estimates for cross-validation and strategy ranking, not exact
@@ -50,28 +51,25 @@ def level_count(n: int, p: int, b: int, t: int) -> int:
     return max(1, math.ceil(raw))
 
 
-def _counts_per_level(layout: DataLayout, t: int, levels: int, leveled: int) -> list[int]:
-    """Expected sorted runs per level for lookup-cost summation."""
-    if layout.kind is LayoutKind.HYBRID or layout.kind is LayoutKind.ONE_LEVELING:
-        return [
-            t if layout.is_tiered(lvl, levels) else 1 for lvl in range(1, levels + 1)
-        ]
+def _tiered(layout: DataLayout, levels: int, leveled: int) -> list[bool]:
+    """Whether each disk level, level 1 first, is tiered; l-leveling levels
+    its deepest ``leveled`` levels."""
+    if leveled > levels:
+        raise InvalidArgument("leveled levels cannot exceed total levels")
     if layout.kind is LayoutKind.L_LEVELING:
-        # l-leveling parameterized by the leveled-level count
-        return [1 if lvl > levels - leveled else t for lvl in range(1, levels + 1)]
-    if layout.kind is LayoutKind.TIERING:
-        return [t] * levels
-    return [1] * levels
+        return [lvl <= levels - leveled for lvl in range(1, levels + 1)]
+    return [layout.is_tiered(lvl, levels) for lvl in range(1, levels + 1)]
+
+
+def _runs(layout: DataLayout, t: int, levels: int, leveled: int) -> int:
+    """Expected sorted runs a lookup probes: T per tiered level, 1 per leveled one."""
+    return sum(t if tiered else 1 for tiered in _tiered(layout, levels, leveled))
 
 
 def write_amp_estimate(layout: DataLayout, t: int, levels: int, leveled: int = 0) -> float:
-    if layout.kind is LayoutKind.LEVELING:
-        return float(t * levels)
-    if layout.kind is LayoutKind.TIERING:
-        return float(levels)
-    if leveled > levels:
-        raise InvalidArgument("leveled levels cannot exceed total levels")
-    return float((levels - leveled) + t * leveled)
+    """T per leveled level and 1 per tiered one: T*L for leveling, L for
+    tiering, (L - l) + T*l for l leveled levels."""
+    return float(sum(1 if tiered else t for tiered in _tiered(layout, levels, leveled)))
 
 
 def point_lookup_cost(
@@ -83,7 +81,7 @@ def point_lookup_cost(
     leveled: int = 0,
 ) -> float:
     fp = math.exp(-bits_per_key)
-    runs = sum(_counts_per_level(layout, t, levels, leveled))
+    runs = _runs(layout, t, levels, leveled)
     cost = runs * fp
     return cost + 1.0 if existing else cost
 
@@ -99,10 +97,9 @@ def range_lookup_cost(
     leveled: int = 0,
 ) -> float:
     if short:
-        return float(sum(_counts_per_level(layout, t, levels, leveled)))
+        return float(_runs(layout, t, levels, leveled))
     pages = selectivity * n / b
-    tiered_factor = t if layout.kind is LayoutKind.TIERING else 1
-    return tiered_factor * pages
+    return (t if layout.is_tiered(levels, levels) else 1) * pages
 
 
 def space_amp_estimate(
@@ -116,7 +113,10 @@ def space_amp_estimate(
     """
     if with_deletes and not 0 < lam < 1:
         raise InvalidArgument("lambda must be in (0, 1) with deletes")
-    if layout.kind is LayoutKind.TIERING:
+    # the deepest level of a tree deeper than the flags: the last flag, or
+    # l-leveling's leveled deepest level
+    deepest = len(layout.flags) + 1
+    if layout.is_tiered(deepest, deepest):
         if with_deletes:
             return ((1 - lam) * n + 1) / (lam * t)
         return float(t)
@@ -130,7 +130,7 @@ def delete_persistence_latency(
 ) -> float:
     if ingest_rate <= 0:
         raise InvalidArgument("ingest rate must be positive")
-    exponent = levels if layout.kind is LayoutKind.TIERING else levels - 1
+    exponent = levels if layout.is_tiered(levels, levels) else levels - 1
     return (t**exponent) * p * b / ingest_rate
 
 
@@ -141,42 +141,20 @@ def model_table(params: ModelParams) -> list[tuple[str, float, float]]:
     n = params.n_entries
     b = params.entries_per_page
     p = params.pages_per_buffer
-    rows = [
-        ("disk_levels", float(levels), float(levels)),
-        (
-            "write_amp",
-            write_amp_estimate(LEVELING, t, levels),
-            write_amp_estimate(TIERING, t, levels),
+    bits = params.bits_per_key
+    sel = params.selectivity
+    costs = {
+        "disk_levels": lambda layout: float(levels),
+        "write_amp": lambda layout: write_amp_estimate(layout, t, levels),
+        "point_lookup_empty": lambda layout: point_lookup_cost(layout, t, levels, bits, False),
+        "point_lookup_existing": lambda layout: point_lookup_cost(layout, t, levels, bits, True),
+        "short_range_cost": lambda layout: range_lookup_cost(layout, t, levels, n, b, sel, True),
+        "long_range_cost": lambda layout: range_lookup_cost(layout, t, levels, n, b, sel, False),
+        "space_amp": lambda layout: space_amp_estimate(
+            layout, t, n, params.tombstone_size_ratio, False
         ),
-        (
-            "point_lookup_empty",
-            point_lookup_cost(LEVELING, t, levels, params.bits_per_key, False),
-            point_lookup_cost(TIERING, t, levels, params.bits_per_key, False),
+        "delete_persistence_ticks": lambda layout: delete_persistence_latency(
+            layout, t, levels, p, b, params.ingest_rate
         ),
-        (
-            "point_lookup_existing",
-            point_lookup_cost(LEVELING, t, levels, params.bits_per_key, True),
-            point_lookup_cost(TIERING, t, levels, params.bits_per_key, True),
-        ),
-        (
-            "short_range_cost",
-            range_lookup_cost(LEVELING, t, levels, n, b, params.selectivity, True),
-            range_lookup_cost(TIERING, t, levels, n, b, params.selectivity, True),
-        ),
-        (
-            "long_range_cost",
-            range_lookup_cost(LEVELING, t, levels, n, b, params.selectivity, False),
-            range_lookup_cost(TIERING, t, levels, n, b, params.selectivity, False),
-        ),
-        (
-            "space_amp",
-            space_amp_estimate(LEVELING, t, n, params.tombstone_size_ratio, False),
-            space_amp_estimate(TIERING, t, n, params.tombstone_size_ratio, False),
-        ),
-        (
-            "delete_persistence_ticks",
-            delete_persistence_latency(LEVELING, t, levels, p, b, params.ingest_rate),
-            delete_persistence_latency(TIERING, t, levels, p, b, params.ingest_rate),
-        ),
-    ]
-    return rows
+    }
+    return [(name, cost(LEVELING), cost(TIERING)) for name, cost in costs.items()]

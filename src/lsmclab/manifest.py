@@ -246,9 +246,6 @@ class Manifest:
                 return level_no
         return 0
 
-    def nonempty_level_count(self) -> int:
-        return sum(1 for level in self.levels if level)
-
     def snapshot(self) -> list[list[list[int]]]:
         """Copy of the level/run/file-id structure.
 

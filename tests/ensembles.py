@@ -5,6 +5,9 @@ An ensemble is named ``triggers/layout/granularity/chain``, for example
 ``dens+sat/leveling/file/lo1``, and ``lsmclab.compaction.parse_ensemble``
 builds it; this module holds only the names. The full grid is 7 trigger
 sets x 6 layouts x 4 granularities x 8 movement chains = 1,344 ensembles.
+A layout is its per-level flags, so ``one_leveling`` is ``hybrid:tl``; the
+grid's two hybrids, ``hybrid:ttl`` (two tiered levels over leveled ones)
+and ``hybrid:lt``, are designs no layout word spells.
 Each replays 1,500 puts and deletes over 600 keys on a tree of size ratio 3
 with 8-entry buffers and ``debug_checks=True``, drains its triggers, must
 end at most 8 levels deep, and must match the oracle both before and after
@@ -26,8 +29,10 @@ compares its rows, and ``tests/test_cli.py`` pins the subset's
 
     PYTHONPATH=src python tests/ensembles.py --staleness 300 --dth 400 --seed 1
 
-``--rewrite`` writes that setting's rows into ``tests/data/grid.csv``
-instead, for a change that sets out to move them.
+The run also reports the setting's pinned rows whose ensemble has left
+``GRID``. ``--rewrite`` writes that setting's rows into
+``tests/data/grid.csv`` instead, and drops those rows, for a change that
+sets out to move them.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from lsmclab.manifest import MANIFEST_NAME, Manifest
 
 # the names of each axis; "stale:300" is rewritten to the probe's staleness
 TRIGGER_SETS = ("sat", "runs", "runs+sat", "runs+sa", "stale:300+sat", "ttl+sat", "dens+sat")
-LAYOUTS = ("leveling", "tiering", "one_leveling", "l_leveling", "hybrid:tl", "hybrid:lt")
+LAYOUTS = ("leveling", "tiering", "one_leveling", "l_leveling", "hybrid:ttl", "hybrid:lt")
 GRANULARITIES = ("level", "sorted_run", "file", "files:3")
 CHAINS = ("full", "rr", "lo1", "lo2", "cold", "old", "ts>lo1", "ttl>lo1")
 
@@ -252,8 +257,17 @@ def differing(rows: dict) -> list[tuple]:
     ]
 
 
-def _rewrite(rows: dict) -> None:
+def stale(pinned: dict, setting: tuple) -> list[tuple]:
+    """The ``pinned`` rows of ``setting`` (staleness, D_th and seed, as a row
+    spells them) whose ensemble is no longer in ``GRID``."""
+    names = set(GRID)
+    return [row for key, row in pinned.items() if key[:3] == setting and key[3] not in names]
+
+
+def _rewrite(rows: dict, setting: tuple) -> None:
     pinned = _pinned() if os.path.exists(GRID_CSV) else {}
+    for row in stale(pinned, setting):
+        del pinned[row[:4]]
     pinned.update((row[:4], row) for row in rows.values())
     with open(GRID_CSV, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
@@ -271,24 +285,27 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    setting = (f"{args.staleness:g}", str(args.dth), str(args.seed))
     rows, failed = replay(GRID, args.staleness, args.dth, args.seed)
     for name, error in failed.items():
         print(f"{name}: {error}")
     if args.rewrite:
-        _rewrite(rows)
-        changed = []
+        _rewrite(rows, setting)
+        changed, dead = [], []
     else:
-        changed = differing(rows)
+        changed, dead = differing(rows), stale(_pinned(), setting)
         for pinned, row in changed:
             print(f"pinned   {','.join(pinned) if pinned else '(no row)'}")
             print(f"replayed {','.join(row)}")
+        for row in dead:
+            print(f"stale    {','.join(row)}")
     print(
-        f"{len(failed)} of {len(GRID)} ensembles failed and {len(changed)} rows differ "
-        f"from {os.path.relpath(GRID_CSV)} "
+        f"{len(failed)} of {len(GRID)} ensembles failed, {len(changed)} rows differ "
+        f"from {os.path.relpath(GRID_CSV)} and {len(dead)} of its rows name no grid ensemble "
         f"(staleness {args.staleness:g}, D_th {args.dth}, seed {args.seed}) "
         f"in {time.perf_counter() - start:.1f} s"
     )
-    return 1 if failed or changed else 0
+    return 1 if failed or changed or dead else 0
 
 
 if __name__ == "__main__":

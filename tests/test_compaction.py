@@ -23,6 +23,7 @@ from lsmclab.compaction import (
     run_until_quiescent,
     select_compaction,
 )
+from lsmclab.costmodel import write_amp_estimate
 from lsmclab.errors import InvalidArgument, InvariantViolation, StorageIOError
 from lsmclab.manifest import VersionEdit
 from lsmclab.sstable import decode_entry
@@ -158,6 +159,20 @@ def test_layout_tiered_predicates():
     assert one.is_tiered(1, 3) and not one.is_tiered(2, 3)
     lastlev = DataLayout(LayoutKind.L_LEVELING)
     assert lastlev.is_tiered(2, 3) and not lastlev.is_tiered(3, 3)
+
+
+def test_layout_words_are_their_flag_strings():
+    # leveling, tiering and one_leveling name the flag strings l, t and tl,
+    # so the planner and the cost model read the same per-level flags
+    def layout(word):
+        return compaction.parse_ensemble(f"sat/{word}/file/lo1").layout
+
+    for word, flags in (("leveling", "l"), ("tiering", "t"), ("one_leveling", "tl")):
+        assert layout(word) == layout(f"hybrid:{flags}")
+    assert write_amp_estimate(layout("one_leveling"), 10, 3) == 21.0  # 1 + 10 + 10
+    assert write_amp_estimate(layout("hybrid:tl"), 10, 3) == 21.0
+    with pytest.raises(InvalidArgument):  # a word's flags are fixed
+        DataLayout(LayoutKind.LEVELING, ("tiered",))
 
 
 def test_files_granularity_needs_n():
@@ -644,6 +659,27 @@ def test_ensemble_grid_subset_settles():
     rows, failed = ensembles.replay(ensembles.SUBSET, staleness=300.0, d_th=400, seed=1)
     assert failed == {}
     assert ensembles.differing(rows) == []
+
+
+def test_grid_reports_and_drops_rows_of_ensembles_it_lost(tmp_path, monkeypatch, capsys):
+    # a pinned row whose ensemble has left GRID fails the full-grid run, and
+    # --rewrite drops it but keeps the other setting's rows
+    name = ensembles.GRID[0]
+    row = ("300", "400", "1", name, "10", "2", "0", "3", "tree", "jobs")
+    lost = "sat/hybrid:tl/file/lo1"
+    lines = [ensembles.FIELDS, row, ("300", "400", "1", lost, *row[4:]),
+             ("150", "200", "2", lost, *row[4:])]
+    path = tmp_path / "grid.csv"
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+    monkeypatch.setattr(ensembles, "GRID_CSV", str(path))
+    monkeypatch.setattr(ensembles, "GRID", (name,))
+    monkeypatch.setattr(ensembles, "replay", lambda names, *setting: ({name: row}, {}))
+    assert ensembles.main([]) == 1
+    out = capsys.readouterr().out
+    assert f"stale    300,400,1,{lost}," in out and "1 of its rows name no grid" in out
+    assert ensembles.main(["--rewrite"]) == 0
+    assert path.read_text().splitlines() == [",".join(line) for line in lines[:2] + lines[3:]]
+    assert ensembles.main([]) == 0
 
 
 def test_density_job_rewrites_the_file_that_fired(tmp_path):

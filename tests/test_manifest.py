@@ -75,7 +75,6 @@ def test_counters(man):
     assert man.total_entries() == 12
     assert man.run_count(2) == 2
     assert man.deepest_nonempty_level() == 2
-    assert man.nonempty_level_count() == 1
     assert man.level_count() == 2
 
 
